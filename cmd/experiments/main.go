@@ -35,6 +35,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -84,6 +86,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			"chaos testing: stall this fraction of first worker attempts until -cell-timeout (requires -isolate)")
 		workerCell = fs.String("worker-cell", "",
 			"internal: run a single cell as a farm worker speaking frames on stdin/stdout")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to `FILE`")
+		memProfile = fs.String("memprofile", "", "write a heap profile at the end of the run to `FILE`")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -143,6 +147,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
+	}
+	defer stopProfiles()
 
 	rc := experiments.RunConfig{
 		WarmupInstr: *warmup, Instructions: *instr, Seed: *seed,
@@ -238,6 +249,50 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// startProfiles opens the -cpuprofile and -memprofile files (either
+// path may be empty) and starts the CPU profile. The returned stop
+// ends it and writes the heap profile. Profiles go to their files,
+// never to stdout, so the rendered bytes do not change.
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, fmt.Errorf("-memprofile: %w", err)
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
+		}
+		if err != nil {
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(stderr, "experiments: -cpuprofile:", err)
+			}
+		}
+		if mem != nil {
+			runtime.GC() // the profile then shows the heap as of the end of the run
+			err := pprof.WriteHeapProfile(mem)
+			if cerr := mem.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "experiments: -memprofile:", err)
+			}
+		}
+	}, nil
 }
 
 // farmOptions carries the flag values the supervisor needs.

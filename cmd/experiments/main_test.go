@@ -118,6 +118,31 @@ func TestProgressOnStderr(t *testing.T) {
 	}
 }
 
+// TestProfileFlagsKeepStdout: -cpuprofile and -memprofile write
+// non-empty profiles and leave stdout byte-identical.
+func TestProfileFlagsKeepStdout(t *testing.T) {
+	args := []string{"-exp", "table1,fig7", "-warmup", "20000", "-instr", "20000", "-parallel", "2", "-quiet"}
+	plainOut, _, plainCode := runCLI(t, args...)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	profOut, stderr, profCode := runCLI(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if plainCode != 0 || profCode != 0 {
+		t.Fatalf("exit codes: plain %d, profiled %d\nstderr: %s", plainCode, profCode, stderr)
+	}
+	if profOut != plainOut {
+		t.Errorf("profiling changed stdout:\n--- plain ---\n%s\n--- profiled ---\n%s", plainOut, profOut)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: profile missing or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	_, stderr, code := runCLI(t, "-exp", "table1", "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof"))
+	if code != 2 || !strings.Contains(stderr, "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: exit %d, stderr %q; want exit 2 naming the flag", code, stderr)
+	}
+}
+
 // TestCSVFormat: -format csv renders tables as CSV on stdout.
 func TestCSVFormat(t *testing.T) {
 	stdout, _, code := runCLI(t, "-exp", "table1", "-format", "csv", "-quiet")

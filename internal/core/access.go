@@ -37,15 +37,15 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 	// The d-group that serves this access; captured before promotion or
 	// replication moves the pointer, since Figure 9 classifies the
 	// access by where the data was when it was read.
-	servedDG := line.Data.fwd.dgroup
+	servedDG := line.Data.fwd.group()
 
 	switch line.Data.state {
 	case coherence.Exclusive, coherence.Modified:
 		if write {
 			line.Data.state = coherence.Modified // E→M is silent
 		}
-		lat += c.dgAccess(t, core, line.Data.fwd.dgroup)
-		if line.Data.fwd.dgroup != c.closest(core) {
+		lat += c.dgAccess(t, core, line.Data.fwd.group())
+		if line.Data.fwd.group() != c.closest(core) {
 			// Capacity stealing: promote reused private blocks
 			// (§3.3.1). The promotion itself is off the critical path.
 			c.promote(t, core, line)
@@ -57,12 +57,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 			// ownership of the data copy our pointer targets.
 			lat += c.transact(t, bus.BusUpg)
 			c.upgradeToM(core, addr, line)
-			servedDG = line.Data.fwd.dgroup
+			servedDG = line.Data.fwd.group()
 			lat += c.dgAccess(t.Add(lat), core, servedDG)
 		} else {
 			p := line.Data.fwd
-			lat += c.dgAccess(t, core, p.dgroup)
-			if c.cfg.Replication == ReplicateSecondUse && p.dgroup != c.closest(core) {
+			lat += c.dgAccess(t, core, p.group())
+			if c.cfg.Replication == ReplicateSecondUse && p.group() != c.closest(core) {
 				// Controlled replication's second-use copy (§3.1):
 				// "P1 makes a copy of X in its closest d-group and
 				// updates the forward pointer in its tag entry."
@@ -75,12 +75,12 @@ func (c *Cache) hit(t memsys.Cycle, core int, addr memsys.Addr, line *tagLine, w
 		// single data copy wherever it lives — possibly a farther
 		// d-group — without any coherence miss (§3.2).
 		p := line.Data.fwd
-		lat += c.dgAccess(t, core, p.dgroup)
-		if !write && c.cfg.CMigrationThreshold > 0 && p.dgroup != c.closest(core) {
+		lat += c.dgAccess(t, core, p.group())
+		if !write && c.cfg.CMigrationThreshold > 0 && p.group() != c.closest(core) {
 			// Future-work extension: a copy stuck far from its only
 			// active reader migrates after repeated remote reads.
 			line.Data.farReads++
-			if line.Data.farReads >= c.cfg.CMigrationThreshold {
+			if int(line.Data.farReads) >= c.cfg.CMigrationThreshold {
 				c.migrateC(core, addr, line)
 				line.Data.farReads = 0
 			}
@@ -128,7 +128,7 @@ func (c *Cache) replicate(core int, addr memsys.Addr, line *tagLine) {
 	cl := c.closest(core)
 	nf := c.freeFrameIn(0, core, cl, -1)
 	c.unpin()
-	np := ptr{cl, nf}
+	np := ptrAt(cl, nf)
 	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
 	line.Data.fwd = np
 	if owns {
@@ -154,7 +154,7 @@ func (c *Cache) migrateC(core int, addr memsys.Addr, line *tagLine) {
 	cl := c.closest(core)
 	nf := c.freeFrameIn(0, core, cl, -1)
 	c.unpin()
-	np := ptr{cl, nf}
+	np := ptrAt(cl, nf)
 	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
 	for o := 0; o < c.cfg.Cores; o++ {
 		if ol := c.tags[o].Probe(addr); ol != nil && ol.Data.state == coherence.Communication {
@@ -216,7 +216,7 @@ func (c *Cache) snoop(core int, addr memsys.Addr) snoopState {
 			s.dirtyPtr = ol.Data.fwd
 		} else {
 			s.clean = true
-			if l := c.latTo(core, ol.Data.fwd.dgroup); l < s.bestLat {
+			if l := c.latTo(core, ol.Data.fwd.group()); l < s.bestLat {
 				s.bestLat = l
 				s.bestClean = ol.Data.fwd
 			}
@@ -259,7 +259,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	if write {
 		// BusRdX: sample the data from the nearest clean copy, then
 		// every other copy is invalidated and we allocate ours.
-		lat += c.dgAccess(t, core, s.bestClean.dgroup)
+		lat += c.dgAccess(t, core, s.bestClean.group())
 		c.invalidateAllOthers(core, addr)
 		c.allocClosest(t, core, addr, tagPayload{state: coherence.Modified, broughtBy: memsys.ROSMiss})
 		return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
@@ -277,7 +277,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	if c.cfg.Replication == ReplicateFirstUse {
 		// Uncontrolled replication: copy immediately, like a private
 		// cache's cache-to-cache fill.
-		lat += c.dgAccess(t, core, s.bestClean.dgroup)
+		lat += c.dgAccess(t, core, s.bestClean.group())
 		c.stats.BusTransactions.Inc(memsys.LabelFlush)
 		c.allocClosest(t, core, addr, tagPayload{state: coherence.Shared, broughtBy: memsys.ROSMiss})
 		return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
@@ -289,7 +289,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	// crossbar. No data copy is made on first use.
 	c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
 	c.stats.PointerReturns++
-	lat += c.dgAccess(t, core, s.bestClean.dgroup)
+	lat += c.dgAccess(t, core, s.bestClean.group())
 	c.installTag(t, core, addr, tagPayload{
 		state: coherence.Shared, fwd: s.bestClean, broughtBy: memsys.ROSMiss,
 	})
@@ -305,7 +305,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		return c.missDirtyMESI(t, core, addr, write, q, lat)
 	}
 
-	lat += c.dgAccess(t, core, q.dgroup)
+	lat += c.dgAccess(t, core, q.group())
 	if write {
 		// Writer joins the communication group without copying: "the
 		// writer enters C pointing its tag entry to the already-
@@ -335,7 +335,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	freed := c.evictTagEntry(t, core, v)
 	cl := c.closest(core)
 	nf := c.freeFrameIn(t, core, cl, freed)
-	np := ptr{cl, nf}
+	np := ptrAt(cl, nf)
 	*c.frameAt(np) = frameInfo{valid: true, addr: addr, revCore: core}
 	for o := 0; o < c.cfg.Cores; o++ {
 		if o == core {
@@ -357,7 +357,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 
 // missDirtyMESI is the RWS-miss flow with ISC disabled: plain MESI.
 func (c *Cache) missDirtyMESI(t memsys.Cycle, core int, addr memsys.Addr, write bool, q ptr, lat memsys.Cycles) memsys.Result {
-	lat += c.dgAccess(t, core, q.dgroup)
+	lat += c.dgAccess(t, core, q.group())
 	c.stats.BusTransactions.Inc(memsys.LabelFlush)
 	if write {
 		// BusRdX: the M holder flushes and invalidates; we take our own

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/cache"
@@ -163,11 +164,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// ptr is a forward pointer: a frame in a d-group.
+// ptr is a forward pointer: a frame in a d-group. The paper's tag entry
+// holds it in log2(frames) bits (§3.1); int32 fields keep a tag line
+// at 56 B instead of 72 B, which keeps the four tag arrays (the bulk
+// of a CMP-NuRAPID instance's heap) small and the 8-way set probe
+// within fewer cache lines.
 type ptr struct {
-	dgroup int
-	frame  int
+	dgroup int32
+	frame  int32
 }
+
+// ptrAt builds the pointer to frame in d-group dg.
+func ptrAt(dg, frame int) ptr { return ptr{dgroup: int32(dg), frame: int32(frame)} }
+
+// group returns the pointer's d-group as an int.
+func (p ptr) group() int { return int(p.dgroup) }
 
 func (p ptr) String() string { return fmt.Sprintf("%s/%d", topo.DGroupNames[p.dgroup], p.frame) }
 
@@ -180,10 +191,10 @@ type tagPayload struct {
 	// reuses counts subsequent hits. Recorded into the reuse
 	// histograms when the entry dies.
 	broughtBy memsys.Category
-	reuses    int
+	reuses    int32
 	// farReads counts consecutive farther-d-group reads of a C block,
 	// for the optional stuck-copy migration extension.
-	farReads int
+	farReads int32
 }
 
 // tagLine is one private tag array entry.
@@ -243,6 +254,9 @@ func (cfg Config) Validate() {
 	}
 	if cfg.TagSets*cfg.TagWays < cfg.DGroupFrames {
 		panic("core: tag arrays must cover at least one d-group of frames")
+	}
+	if cfg.DGroupFrames > math.MaxInt32 || cfg.CMigrationThreshold > math.MaxInt32 {
+		panic("core: d-group frames and the C-migration threshold must fit the 32-bit tag fields")
 	}
 }
 
@@ -392,9 +406,9 @@ func (c *Cache) post(now memsys.Cycle, kind bus.Kind) memsys.Cycles {
 func (c *Cache) recordLifetime(p tagPayload) {
 	switch p.broughtBy {
 	case memsys.ROSMiss:
-		c.stats.ReuseROS.Record(p.reuses)
+		c.stats.ReuseROS.Record(int(p.reuses))
 	case memsys.RWSMiss:
-		c.stats.ReuseRWS.Record(p.reuses)
+		c.stats.ReuseRWS.Record(int(p.reuses))
 	}
 }
 

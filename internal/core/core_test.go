@@ -1,7 +1,11 @@
 package core
 
 import (
+	"math"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cmpnurapid/internal/bus"
 	"cmpnurapid/internal/coherence"
@@ -665,5 +669,41 @@ func TestL1InvalidateCallback(t *testing.T) {
 	write(c, 20, 0, X) // C write → P1's L1 copy must drop
 	if invalidated[[2]uint64{1, uint64(X)}] == 0 {
 		t.Error("C-state write did not invalidate the sharer's L1 copy")
+	}
+}
+
+// TestTagLineIsCompact pins the tag line at 56 B: the forward pointer
+// and lifetime counters are int32, as the paper's log2(frames)-bit
+// pointer allows. A wider field would grow every tag array by a
+// quarter.
+func TestTagLineIsCompact(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(tagLine{}); got != 56 {
+		t.Fatalf("tag line is %d B, want 56", got)
+	}
+}
+
+func TestValidateRejectsFieldsWiderThanTags(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("int cannot exceed the 32-bit fields")
+	}
+	wide := int64(math.MaxInt32)
+	tooWide := int(wide + 1)
+	for name, mut := range map[string]func(*Config){
+		"frames":    func(c *Config) { c.DGroupFrames = tooWide; c.TagSets = tooWide },
+		"threshold": func(c *Config) { c.CMigrationThreshold = tooWide },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "32-bit tag fields") {
+					t.Errorf("%s: Validate panicked with %q, want the 32-bit tag fields diagnostic", name, r)
+				}
+			}()
+			cfg.Validate()
+		}()
 	}
 }

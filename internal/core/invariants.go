@@ -38,8 +38,8 @@ func (c *Cache) CheckInvariants() {
 				panic(fmt.Sprintf("core: core %d valid tag for %#x with invalid coherence state", coreID, addr))
 			}
 			p := l.Data.fwd
-			if p.dgroup < 0 || p.dgroup >= len(c.dgroups) ||
-				p.frame < 0 || p.frame >= len(c.dgroups[p.dgroup].frames) {
+			if p.group() < 0 || p.group() >= len(c.dgroups) ||
+				p.frame < 0 || int(p.frame) >= len(c.dgroups[p.dgroup].frames) {
 				panic(fmt.Sprintf("core: core %d tag for %#x has out-of-range pointer %v", coreID, addr, p))
 			}
 			fr := c.frameAt(p)
@@ -92,7 +92,7 @@ func (c *Cache) CheckInvariants() {
 				continue
 			}
 			valid++
-			p := ptr{gi, fi}
+			p := ptrAt(gi, fi)
 			owner := c.tags[fr.revCore].Probe(fr.addr)
 			if owner == nil || owner.Data.fwd != p {
 				panic(fmt.Sprintf("core: d-group %d frame %d (addr %#x) has dangling reverse pointer to core %d",
@@ -177,5 +177,5 @@ func (c *Cache) StateOf(core int, addr memsys.Addr) (coherence.State, int) {
 	if l == nil {
 		return coherence.Invalid, -1
 	}
-	return l.Data.state, l.Data.fwd.dgroup
+	return l.Data.state, l.Data.fwd.group()
 }

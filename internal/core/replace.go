@@ -49,7 +49,7 @@ func (c *Cache) releaseFrame(p ptr) {
 	}
 	dg.frames[p.frame] = frameInfo{}
 	// hotpath:alloc free list is pre-sized to the d-group's frame count and never grows past it
-	dg.free = append(dg.free, p.frame)
+	dg.free = append(dg.free, int(p.frame))
 }
 
 // frameAt returns the frame record at p.
@@ -131,14 +131,14 @@ func (c *Cache) pickVictimFrame(g int) int {
 	n := len(dg.frames)
 	for try := 0; try < 8; try++ {
 		vi := c.rand.Intn(n)
-		if dg.frames[vi].valid && !c.pinned(ptr{g, vi}) {
+		if dg.frames[vi].valid && !c.pinned(ptrAt(g, vi)) {
 			return vi
 		}
 	}
 	start := c.rand.Intn(n)
 	for i := 0; i < n; i++ {
 		vi := (start + i) % n
-		if dg.frames[vi].valid && !c.pinned(ptr{g, vi}) {
+		if dg.frames[vi].valid && !c.pinned(ptrAt(g, vi)) {
 			return vi
 		}
 	}
@@ -176,7 +176,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 		return c.takeFrame(g)
 	}
 	vi := c.pickVictimFrame(g)
-	p := ptr{g, vi}
+	p := ptrAt(g, vi)
 	_, owner := c.ownerLine(p)
 	next, hasNext := topo.NextSlower(core, g)
 	// Shared victims are evicted, never demoted (§3.3.2: demoting a
@@ -187,7 +187,7 @@ func (c *Cache) freeFrameRec(now memsys.Cycle, core, g, stop, depth int) int {
 		return c.takeFrame(g)
 	}
 	nf := c.freeFrameRec(now, core, next, stop, depth+1)
-	c.moveFrame(p, ptr{next, nf})
+	c.moveFrame(p, ptrAt(next, nf))
 	c.stats.Demotions++
 	return c.takeFrame(g)
 }
@@ -258,7 +258,7 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 		}
 		c.killTag(core, l)
 		c.releaseFrame(p)
-		return p.dgroup
+		return p.group()
 	}
 
 	if owns {
@@ -266,7 +266,7 @@ func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
 		// BusRepl-invalidate every other tag pointing at it.
 		c.killTag(core, l)
 		c.evictFrameSharedRemainder(now, addr, p)
-		return p.dgroup
+		return p.group()
 	}
 
 	// Shared block reached through someone else's copy: drop only the
@@ -313,7 +313,7 @@ func (c *Cache) allocClosest(now memsys.Cycle, core int, addr memsys.Addr, pay t
 	freed := c.evictTagEntry(now, core, v)
 	cl := c.closest(core)
 	nf := c.freeFrameIn(now, core, cl, freed)
-	pay.fwd = ptr{cl, nf}
+	pay.fwd = ptrAt(cl, nf)
 	*c.frameAt(pay.fwd) = frameInfo{valid: true, addr: addr, revCore: core}
 	return c.tags[core].Install(v, addr, pay)
 }
@@ -324,7 +324,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	if c.cfg.Promotion == NoPromotion {
 		return
 	}
-	cur := l.Data.fwd.dgroup
+	cur := l.Data.fwd.group()
 	target := c.closest(core)
 	if c.cfg.Promotion == NextFastest {
 		var ok bool
@@ -340,7 +340,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	dg := c.dgroups[target]
 	if len(dg.free) > 0 {
 		nf := c.takeFrame(target)
-		c.moveFrame(src, ptr{target, nf})
+		c.moveFrame(src, ptrAt(target, nf))
 		c.stats.Promotions++
 		return
 	}
@@ -348,7 +348,7 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	// demotes into the promoted block's old frame; a shared victim is
 	// evicted (shared blocks never move, §3.3.1/§3.3.2).
 	vi := c.pickVictimFrame(target)
-	vp := ptr{target, vi}
+	vp := ptrAt(target, vi)
 	if vp == src {
 		return
 	}
@@ -368,6 +368,6 @@ func (c *Cache) promote(now memsys.Cycle, core int, l *tagLine) {
 	}
 	c.evictFrame(now, vp)
 	nf := c.takeFrame(target)
-	c.moveFrame(src, ptr{target, nf})
+	c.moveFrame(src, ptrAt(target, nf))
 	c.stats.Promotions++
 }

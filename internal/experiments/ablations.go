@@ -43,7 +43,7 @@ func (e *Eval) variantMT(key string, p workload.Profile, mut func(*core.Config))
 // variants.
 func (e *Eval) variantMix(key string, mixIdx int, mut func(*core.Config)) cmpsim.Results {
 	return e.results(key, func() cmpsim.Results {
-		return runNuRAPIDVariant(workload.Mixes(e.RC.Seed)[mixIdx], e.RC, mut)
+		return runNuRAPIDVariant(workload.Mix(mixIdx, e.RC.Seed), e.RC, mut)
 	})
 }
 
@@ -62,7 +62,7 @@ func (e *Eval) promotionRun(mixIdx int, pol core.PromotionPolicy) cmpsim.Results
 
 func (e *Eval) ablationPromotionCells() []Cell {
 	var cells []Cell
-	for i := range e.mixes {
+	for i := range e.mixNames {
 		for _, pol := range promotionPolicies {
 			cells = append(cells, Cell{Key: promotionKey(i, pol), Run: func() { e.promotionRun(i, pol) }})
 		}
@@ -78,9 +78,9 @@ func (e *Eval) ablationPromotionCells() []Cell {
 func (e *Eval) AblationPromotion() *stats.Table {
 	t := stats.NewTable("Ablation: CS promotion policy (weighted speedup vs no promotion)",
 		"Workload", "fastest", "next-fastest")
-	for i, m := range e.mixes {
+	for i, name := range e.mixNames {
 		base := e.promotionRun(i, core.NoPromotion)
-		row := []string{m.Name()}
+		row := []string{name}
 		for _, pol := range []core.PromotionPolicy{core.Fastest, core.NextFastest} {
 			row = append(row, stats.Rel(cmpsim.Speedup(e.promotionRun(i, pol), base)))
 		}

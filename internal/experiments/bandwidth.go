@@ -38,7 +38,7 @@ func (e *Eval) bandwidthRun(wname string, d DesignName) busRun {
 		case "oltp":
 			w = workload.New(workload.OLTP(e.RC.Seed))
 		case "MIX1":
-			w = workload.Mixes(e.RC.Seed)[0]
+			w = workload.Mix(0, e.RC.Seed)
 		default:
 			panic(fmt.Sprintf("experiments: unknown bandwidth workload %q", wname))
 		}

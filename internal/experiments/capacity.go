@@ -43,7 +43,7 @@ func CapacityReport(rc RunConfig, mixIdx int) *stats.Table {
 }
 
 func capacityTable(rc RunConfig, mixIdx int) *stats.Table {
-	m := workload.Mixes(rc.Seed)[mixIdx]
+	m := workload.Mix(mixIdx, rc.Seed)
 	apps := m.Apps()
 	nu := core.New(core.DefaultConfig())
 	sys := cmpsim.New(cmpsim.DefaultConfig(), nu, m)

@@ -24,7 +24,7 @@ type Eval struct {
 	// synccheck:unguarded immutable after NewEval
 	profiles []workload.Profile
 	// synccheck:unguarded immutable after NewEval
-	mixes []*workload.Multiprogrammed
+	mixNames []string
 
 	mu sync.Mutex
 	// synccheck:guardedby mu
@@ -50,7 +50,7 @@ func NewEval(rc RunConfig) *Eval {
 	return &Eval{
 		RC:       rc,
 		profiles: workload.Multithreaded(rc.Seed),
-		mixes:    workload.Mixes(rc.Seed),
+		mixNames: workload.MixNames(),
 		cache:    map[string]*cacheEntry{},
 	}
 }
@@ -86,8 +86,9 @@ func (e *Eval) results(key string, fill func() cmpsim.Results) cmpsim.Results {
 // Profiles returns the multithreaded workloads in Figure 5 order.
 func (e *Eval) Profiles() []workload.Profile { return e.profiles }
 
-// Mixes returns the Table 2 workloads.
-func (e *Eval) Mixes() []*workload.Multiprogrammed { return e.mixes }
+// Mixes returns fresh Table 2 workloads. The evaluation itself keeps
+// only their names: each cell builds the one mix it runs.
+func (e *Eval) Mixes() []*workload.Multiprogrammed { return workload.Mixes(e.RC.Seed) }
 
 // commercial returns the three commercial workloads the headline
 // numbers average over (the first three of the Figure 5 order).
@@ -96,7 +97,7 @@ func (e *Eval) commercial() []workload.Profile { return e.profiles[:3] }
 func mtKey(d DesignName, p workload.Profile) string { return "mt/" + string(d) + "/" + p.Name }
 
 func (e *Eval) mpKey(d DesignName, mixIdx int) string {
-	return "mp/" + string(d) + "/" + e.mixes[mixIdx].Name()
+	return "mp/" + string(d) + "/" + e.mixNames[mixIdx]
 }
 
 // MT returns the cached result for (design, multithreaded workload).
@@ -110,7 +111,7 @@ func (e *Eval) MT(d DesignName, p workload.Profile) cmpsim.Results {
 func (e *Eval) MP(d DesignName, mixIdx int) cmpsim.Results {
 	return e.results(e.mpKey(d, mixIdx), func() cmpsim.Results {
 		// Each design must see identical streams: fresh generator per run.
-		fresh := workload.Mixes(e.RC.Seed)[mixIdx]
+		fresh := workload.Mix(mixIdx, e.RC.Seed)
 		return Run(d, fresh, e.RC)
 	})
 }
@@ -129,8 +130,8 @@ func (e *Eval) mtCells(designs []DesignName, profiles []workload.Profile) []Cell
 
 // mpCells declares one cell per (design, mix) pair.
 func (e *Eval) mpCells(designs []DesignName) []Cell {
-	cells := make([]Cell, 0, len(designs)*len(e.mixes))
-	for i := range e.mixes {
+	cells := make([]Cell, 0, len(designs)*len(e.mixNames))
+	for i := range e.mixNames {
 		for _, d := range designs {
 			cells = append(cells, Cell{Key: e.mpKey(d, i), Run: func() { e.MP(d, i) }})
 		}
@@ -385,12 +386,12 @@ func (e *Eval) Figure11() *stats.Table {
 	t := stats.NewTable("Figure 11: Distribution of Cache Accesses (multiprogrammed)",
 		"Workload", "Design", "Hits", "Misses")
 	avg := map[DesignName]float64{}
-	for i, m := range e.mixes {
+	for i, name := range e.mixNames {
 		for _, d := range figure11Designs {
 			s := e.MP(d, i).L2
-			t.Row(m.Name(), string(d),
+			t.Row(name, string(d),
 				stats.Pct(s.Accesses.Frac(memsys.LabelHit)), stats.Pct(s.MissRate()))
-			avg[d] += s.MissRate() / float64(len(e.mixes))
+			avg[d] += s.MissRate() / float64(len(e.mixNames))
 		}
 	}
 	for _, d := range figure11Designs {
@@ -402,10 +403,10 @@ func (e *Eval) Figure11() *stats.Table {
 // MixMissRate returns design d's average miss rate over the mixes.
 func (e *Eval) MixMissRate(d DesignName) float64 {
 	sum := 0.0
-	for i := range e.mixes {
+	for i := range e.mixNames {
 		sum += e.MP(d, i).L2.MissRate()
 	}
-	return sum / float64(len(e.mixes))
+	return sum / float64(len(e.mixNames))
 }
 
 // Figure12 regenerates the multiprogrammed IPC figure: non-uniform-
@@ -417,13 +418,13 @@ func (e *Eval) Figure12() *stats.Table {
 	}
 	t := stats.NewTable("Figure 12: Performance, multiprogrammed (IPC relative to uniform-shared)", header...)
 	avg := map[DesignName]float64{}
-	for i, m := range e.mixes {
+	for i, name := range e.mixNames {
 		base := e.MP(UniformShared, i)
-		row := []string{m.Name()}
+		row := []string{name}
 		for _, d := range figure12Designs {
 			sp := cmpsim.Speedup(e.MP(d, i), base)
 			row = append(row, stats.Rel(sp))
-			avg[d] += sp / float64(len(e.mixes))
+			avg[d] += sp / float64(len(e.mixNames))
 		}
 		t.Row(row...)
 	}
@@ -439,10 +440,10 @@ func (e *Eval) Figure12() *stats.Table {
 // across the mixes.
 func (e *Eval) MixSpeedup(d DesignName) float64 {
 	sum := 0.0
-	for i := range e.mixes {
+	for i := range e.mixNames {
 		sum += cmpsim.Speedup(e.MP(d, i), e.MP(UniformShared, i))
 	}
-	return sum / float64(len(e.mixes))
+	return sum / float64(len(e.mixNames))
 }
 
 // ClosestDGroupHitFrac returns, for CMP-NuRAPID on the mixes, the
@@ -450,11 +451,11 @@ func (e *Eval) MixSpeedup(d DesignName) float64 {
 // reports 85%, i.e. 93% of hits).
 func (e *Eval) ClosestDGroupHitFrac() float64 {
 	sum := 0.0
-	for i := range e.mixes {
+	for i := range e.mixNames {
 		s := e.MP(NuRAPID, i).L2
 		sum += s.DataArray.Frac(memsys.LabelClosest)
 	}
-	return sum / float64(len(e.mixes))
+	return sum / float64(len(e.mixNames))
 }
 
 // Summary prints the headline numbers the abstract reports.

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -126,27 +128,25 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestMul64MatchesBig(t *testing.T) {
-	// Property: our portable 128-bit multiply agrees with the
-	// identity (x*y) mod 2^64 for the low word, and with schoolbook
-	// computation for a few fixed cases for the high word.
-	f := func(x, y uint64) bool {
-		_, lo := mul64(x, y)
-		return lo == x*y
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	cases := []struct{ x, y, hi uint64 }{
-		{0, 0, 0},
-		{1 << 63, 2, 1},
-		{1 << 32, 1 << 32, 1},
-		{^uint64(0), ^uint64(0), ^uint64(0) - 1},
-	}
-	for _, c := range cases {
-		hi, _ := mul64(c.x, c.y)
-		if hi != c.hi {
-			t.Errorf("mul64(%#x, %#x) hi = %#x, want %#x", c.x, c.y, hi, c.hi)
+	// Property: Intn returns the high word of the 128-bit product of
+	// its draw and n, computed here independently with math/big,
+	// whenever the low word clears Lemire's rejection threshold (a
+	// rejected draw is redrawn, so it is skipped).
+	mask := new(big.Int).SetUint64(^uint64(0))
+	f := func(seed uint64, n uint32) bool {
+		if n == 0 {
+			n = 1
 		}
+		v := New(seed).Uint64()
+		prod := new(big.Int).Mul(new(big.Int).SetUint64(v), new(big.Int).SetUint64(uint64(n)))
+		lo := new(big.Int).And(prod, mask).Uint64()
+		if lo < -uint64(n)%uint64(n) {
+			return true
+		}
+		return uint64(New(seed).Intn(int(n))) == prod.Rsh(prod, 64).Uint64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestZipfLargeN(t *testing.T) {
 	s := New(23)
 	n := zipfTabulateLimit * 4
 	z := NewZipf(s, n, 1.0)
-	if z.cdf != nil {
+	if z.tab != nil {
 		t.Fatal("large-n Zipf should not tabulate")
 	}
 	low := 0
@@ -201,6 +201,36 @@ func TestZipfPanicsOnBadN(t *testing.T) {
 	NewZipf(New(1), 0, 1)
 }
 
+func TestSharedZipfTableIsSingleFill(t *testing.T) {
+	// A key no other test uses, so the goroutines race to fill it.
+	const n, theta = 12_345, 0.625
+	const workers = 8
+	tabs := make([]*zipfTable, workers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			start.Wait()
+			tabs[w] = NewZipf(New(uint64(w)), n, theta).tab
+		}(w)
+	}
+	start.Done()
+	wg.Wait()
+	for w, tab := range tabs {
+		if tab == nil || tab != tabs[0] {
+			t.Fatalf("worker %d got table %p, worker 0 got %p", w, tab, tabs[0])
+		}
+	}
+	if other := NewZipf(New(1), n, math.Nextafter(theta, 1)).tab; other == tabs[0] {
+		t.Error("a different theta shared the table")
+	}
+	if other := NewZipf(New(1), n+1, theta).tab; other == tabs[0] {
+		t.Error("a different n shared the table")
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
@@ -212,5 +242,16 @@ func BenchmarkIntn(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Intn(1000)
+	}
+}
+
+// BenchmarkZipfNext draws from mcf's footprint, the largest table the
+// mixes use (n = 53 248 blocks, theta = 0.30).
+func BenchmarkZipfNext(b *testing.B) {
+	b.ReportAllocs()
+	z := NewZipf(New(1), 53_248, 0.30)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = z.Next()
 	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"strconv"
+
 	"cmpnurapid/internal/cmpsim"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
@@ -107,23 +109,46 @@ func (m *Multiprogrammed) Next(core int) cmpsim.Op {
 	return op
 }
 
+// mixApps holds Table 2's application lists, MIX1 first.
+var mixApps = [...][topo.NumCores]App{
+	{Apsi, Art, Equake, Mesa},
+	{Ammp, Swim, Mesa, Vortex},
+	{Apsi, Mcf, Gzip, Mesa},
+	{Ammp, Gzip, Vortex, Wupwise},
+}
+
 // MixApps returns Table 2's application lists.
 func MixApps() map[string][topo.NumCores]App {
-	return map[string][topo.NumCores]App{
-		"MIX1": {Apsi, Art, Equake, Mesa},
-		"MIX2": {Ammp, Swim, Mesa, Vortex},
-		"MIX3": {Apsi, Mcf, Gzip, Mesa},
-		"MIX4": {Ammp, Gzip, Vortex, Wupwise},
+	m := map[string][topo.NumCores]App{}
+	for i, apps := range mixApps {
+		m[mixName(i)] = apps
 	}
+	return m
+}
+
+func mixName(i int) string { return "MIX" + strconv.Itoa(i+1) }
+
+// MixNames returns the Table 2 workload names in order, without
+// building the workloads.
+func MixNames() []string {
+	names := make([]string, len(mixApps))
+	for i := range names {
+		names[i] = mixName(i)
+	}
+	return names
+}
+
+// Mix builds the i-th Table 2 workload (0-based), exactly as Mixes
+// builds it, without building the other three.
+func Mix(i int, seed uint64) *Multiprogrammed {
+	return NewMix(mixName(i), mixApps[i], seed+uint64(i))
 }
 
 // Mixes returns the four Table 2 workloads in order.
 func Mixes(seed uint64) []*Multiprogrammed {
-	apps := MixApps()
-	return []*Multiprogrammed{
-		NewMix("MIX1", apps["MIX1"], seed),
-		NewMix("MIX2", apps["MIX2"], seed+1),
-		NewMix("MIX3", apps["MIX3"], seed+2),
-		NewMix("MIX4", apps["MIX4"], seed+3),
+	ms := make([]*Multiprogrammed, len(mixApps))
+	for i := range ms {
+		ms[i] = Mix(i, seed)
 	}
+	return ms
 }

@@ -25,7 +25,8 @@ run_benches() {
 	go test -run '^$' -bench '^(BenchmarkSimStep|BenchmarkSchedulerLoop|BenchmarkRunQuantum)$' -benchtime 100000x -benchmem ./internal/cmpsim
 	go test -run '^$' -bench '^(BenchmarkHitClosest|BenchmarkHitCommunication|BenchmarkMissCapacity|BenchmarkMixedWorkload)$' -benchtime 10000x -benchmem ./internal/core
 	go test -run '^$' -bench '^(BenchmarkSharedAccess|BenchmarkSNUCAAccess|BenchmarkPrivateAccess)$' -benchtime 10000x -benchmem ./internal/l2
-	go test -run '^$' -bench '^(BenchmarkGeneratorNext|BenchmarkMixNext)$' -benchtime 100000x -benchmem ./internal/workload
+	go test -run '^$' -bench '^(BenchmarkGeneratorNext|BenchmarkMixNext|BenchmarkMixesConstruct)$' -benchtime 100000x -benchmem ./internal/workload
+	go test -run '^$' -bench '^BenchmarkZipfNext$' -benchtime 100000x -benchmem ./internal/rng
 	go test -run '^$' -bench '^BenchmarkExecuteCells$' -benchtime 200x -benchmem ./internal/experiments
 	# No -benchmem: subprocess spawning allocates nondeterministically,
 	# so the farm benchmark tracks wall time only (docs/ROBUSTNESS.md).

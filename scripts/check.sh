@@ -57,6 +57,15 @@ diff docs/golden/quick_table1_fig5.golden /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p4.out
 diff /tmp/quick_check_p1.out /tmp/quick_check_p8.out
 
+echo "== experiments quick scale -exp all vs golden at -parallel 1/2 =="
+# Every figure and table at quick scale, seed 42: a change meant to
+# keep the output bytes (a faster sampler, a smaller tag line) must
+# leave all of them identical, not only table1,fig5.
+go run ./cmd/experiments -exp all -parallel 1 -warmup 200000 -instr 200000 -seed 42 -quiet > /tmp/quick_all_p1.out
+go run ./cmd/experiments -exp all -parallel 2 -warmup 200000 -instr 200000 -seed 42 -quiet > /tmp/quick_all_p2.out
+diff docs/golden/quick_all.golden /tmp/quick_all_p1.out
+diff docs/golden/quick_all.golden /tmp/quick_all_p2.out
+
 echo "== chaos: fault-injection sweep under race (docs/ROBUSTNESS.md) =="
 go test -race -short -run 'TestChaosSweep|TestControlInjectorIsBitIdentical' ./internal/simguard
 
