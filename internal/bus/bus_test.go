@@ -184,3 +184,18 @@ func TestNewPanicsOnZeroSlotCycles(t *testing.T) {
 	}()
 	New(Config{Latency: 32, SlotCycles: 0})
 }
+
+// TestStatsLabelsFollowKindOrder: recording sites count a transaction
+// with BusTransactions.AddAt(int(kind), 1), so the i-th registered
+// label must be Kind(i)'s name.
+func TestStatsLabelsFollowKindOrder(t *testing.T) {
+	labels := memsys.NewL2Stats().BusTransactions.Labels()
+	if len(labels) != int(numKinds) {
+		t.Fatalf("%d bus labels for %d kinds", len(labels), numKinds)
+	}
+	for k := BusRd; k < numKinds; k++ {
+		if labels[k] != k.String() {
+			t.Errorf("label %d = %q, want %q", k, labels[k], k.String())
+		}
+	}
+}

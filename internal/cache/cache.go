@@ -7,18 +7,24 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"cmpnurapid/internal/memsys"
 )
 
 // Line is one tag-array entry with a caller-defined payload (coherence
-// state, forward pointer, reuse counters, ...).
+// state, forward pointer, reuse counters, ...). The tag and the valid
+// bit share one word, key: tag+1 for a valid line and 0 for an invalid
+// one, so the zero Line is invalid. lastUse is the line's LRU stamp,
+// meaningful only relative to the other valid lines of its set.
 type Line[T any] struct {
-	Valid   bool
-	Tag     uint64
-	lastUse uint64
+	key     uint64
+	lastUse uint32
 	Data    T
 }
+
+// Valid reports whether the line holds a block.
+func (l *Line[T]) Valid() bool { return l.key != 0 }
 
 // Geometry describes a set-associative array.
 type Geometry struct {
@@ -34,6 +40,10 @@ func (g Geometry) Validate() {
 	if !pow2(g.Sets) || !pow2(int(g.BlockBytes)) {
 		panic(fmt.Sprintf("cache: sets (%d) and block size (%d) must be powers of two",
 			g.Sets, g.BlockBytes))
+	}
+	if g.BlockBytes < 2 {
+		// A line's key is tag+1; a tag of at most 63 bits cannot wrap.
+		panic("cache: block size must be at least 2 bytes")
 	}
 	if g.Ways <= 0 {
 		panic("cache: ways must be positive")
@@ -64,7 +74,9 @@ type Array[T any] struct {
 	blockBits uint
 	setMask   uint64
 	lines     []Line[T] // sets*ways, row-major by set
-	clock     uint64
+	// clock stamps each Touch. Stamps are unique within the array
+	// until the clock would wrap; see renormalize.
+	clock uint32
 }
 
 // NewArray allocates an array with the given geometry.
@@ -86,10 +98,11 @@ func (a *Array[T]) SetIndex(addr memsys.Addr) int {
 	return int((uint64(addr) >> a.blockBits) & a.setMask)
 }
 
-// tagOf returns the tag bits for an address (everything above the set
-// index; keeping the full shifted address keeps lookups unambiguous).
-func (a *Array[T]) tagOf(addr memsys.Addr) uint64 {
-	return uint64(addr) >> a.blockBits
+// keyOf returns the key a valid line holding addr carries: the tag
+// (everything above the block offset; keeping the full shifted address
+// keeps lookups unambiguous) plus one.
+func (a *Array[T]) keyOf(addr memsys.Addr) uint64 {
+	return uint64(addr)>>a.blockBits + 1
 }
 
 // Probe returns the line holding addr, or nil on a miss. It does not
@@ -98,11 +111,10 @@ func (a *Array[T]) tagOf(addr memsys.Addr) uint64 {
 //
 // hotpath:root
 func (a *Array[T]) Probe(addr memsys.Addr) *Line[T] {
-	set := a.SetIndex(addr)
-	tag := a.tagOf(addr)
-	base := set * a.geo.Ways
+	key := a.keyOf(addr)
+	base := a.SetIndex(addr) * a.geo.Ways
 	for i := base; i < base+a.geo.Ways; i++ {
-		if a.lines[i].Valid && a.lines[i].Tag == tag {
+		if a.lines[i].key == key {
 			return &a.lines[i]
 		}
 	}
@@ -111,8 +123,36 @@ func (a *Array[T]) Probe(addr memsys.Addr) *Line[T] {
 
 // Touch marks a line most-recently-used.
 func (a *Array[T]) Touch(l *Line[T]) {
+	if a.clock == math.MaxUint32 {
+		a.renormalize()
+	}
 	a.clock++
 	l.lastUse = a.clock
+}
+
+// renormalize rewrites every valid line's stamp as its rank (1..ways)
+// among the valid lines of its set and restarts the clock at the way
+// count, so the next stamp exceeds every rank. It is exact: valid
+// stamps in a set are distinct (each came from its own clock tick),
+// and Victim and LRUOrder read only their order within one set, which
+// ranking preserves. Invalid lines get a rank too, but their stamps
+// are never read.
+func (a *Array[T]) renormalize() {
+	for set := 0; set < a.geo.Sets; set++ {
+		lines := a.Set(set)
+		var ranks [64]uint32 // Validate caps ways at 64
+		for i := range lines {
+			for j := range lines {
+				if lines[j].Valid() && lines[j].lastUse < lines[i].lastUse {
+					ranks[i]++
+				}
+			}
+		}
+		for i := range lines {
+			lines[i].lastUse = ranks[i] + 1
+		}
+	}
+	a.clock = uint32(a.geo.Ways)
 }
 
 // Set returns the lines of one set (for policy code that needs to scan
@@ -130,16 +170,15 @@ func (a *Array[T]) LRUOrder(set int, f func(*Line[T]) bool) {
 	// is cheaper and simpler than maintaining a list. Visited ways live
 	// in a bitmask — Validate caps ways at 64 — so the scan is
 	// allocation-free on the per-access path.
-	const done = ^uint64(0)
 	var visited uint64
 	for {
 		best := -1
-		var bestUse uint64 = done
+		var bestUse uint32
 		for i := range lines {
-			if visited&(1<<uint(i)) != 0 || !lines[i].Valid {
+			if visited&(1<<uint(i)) != 0 || !lines[i].Valid() {
 				continue
 			}
-			if lines[i].lastUse < bestUse {
+			if best == -1 || lines[i].lastUse < bestUse {
 				bestUse = lines[i].lastUse
 				best = i
 			}
@@ -162,7 +201,7 @@ func (a *Array[T]) Victim(addr memsys.Addr) *Line[T] {
 	var lru *Line[T]
 	for i := range lines {
 		l := &lines[i]
-		if !l.Valid {
+		if !l.Valid() {
 			return l
 		}
 		if lru == nil || l.lastUse < lru.lastUse {
@@ -176,8 +215,7 @@ func (a *Array[T]) Victim(addr memsys.Addr) *Line[T] {
 // l for chaining. The caller is responsible for having evicted the old
 // contents (Victim hands back the line to inspect first).
 func (a *Array[T]) Install(l *Line[T], addr memsys.Addr, data T) *Line[T] {
-	l.Valid = true
-	l.Tag = a.tagOf(addr)
+	l.key = a.keyOf(addr)
 	l.Data = data
 	a.Touch(l)
 	return l
@@ -186,21 +224,20 @@ func (a *Array[T]) Install(l *Line[T], addr memsys.Addr, data T) *Line[T] {
 // Invalidate clears a line.
 func (a *Array[T]) Invalidate(l *Line[T]) {
 	var zero T
-	l.Valid = false
-	l.Tag = 0
+	l.key = 0
 	l.Data = zero
 }
 
-// AddrOf reconstructs the block address stored in a line. (The tag
-// keeps the full block address, so the set index is not needed.)
+// AddrOf reconstructs the block address stored in a valid line. (The
+// tag keeps the full block address, so the set index is not needed.)
 func (a *Array[T]) AddrOf(l *Line[T]) memsys.Addr {
-	return memsys.Addr(l.Tag << a.blockBits)
+	return memsys.Addr((l.key - 1) << a.blockBits)
 }
 
 // ForEach calls f for every valid line with its set index.
 func (a *Array[T]) ForEach(f func(set int, l *Line[T])) {
 	for i := range a.lines {
-		if a.lines[i].Valid {
+		if a.lines[i].Valid() {
 			f(i/a.geo.Ways, &a.lines[i])
 		}
 	}
@@ -210,7 +247,7 @@ func (a *Array[T]) ForEach(f func(set int, l *Line[T])) {
 func (a *Array[T]) CountValid() int {
 	n := 0
 	for i := range a.lines {
-		if a.lines[i].Valid {
+		if a.lines[i].Valid() {
 			n++
 		}
 	}

@@ -66,7 +66,7 @@ func TestVictimPrefersInvalid(t *testing.T) {
 	addr := memsys.Addr(0)
 	a.Install(a.Victim(addr), addr, 1)
 	v := a.Victim(memsys.Addr(64 * 4)) // same set, one way still free
-	if v.Valid {
+	if v.Valid() {
 		t.Error("victim should be the invalid way while one remains")
 	}
 }
@@ -79,8 +79,8 @@ func TestVictimLRU(t *testing.T) {
 	// Touch a0 so a1 becomes LRU.
 	a.Touch(a.Probe(a0))
 	v := a.Victim(a2)
-	if !v.Valid || a.AddrOf(v) != a1 {
-		t.Errorf("LRU victim = %v (addr %#x), want block %#x", v.Valid, a.AddrOf(v), a1)
+	if !v.Valid() || a.AddrOf(v) != a1 {
+		t.Errorf("LRU victim = %v (addr %#x), want block %#x", v.Valid(), a.AddrOf(v), a1)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestVictimPrefersStaleInvalidatedLine(t *testing.T) {
 	a.Install(a.Victim(a0), a0, 0)
 	a.Install(a.Victim(a1), a1, 1) // a1 is MRU
 	a.Invalidate(a.Probe(a1))
-	if v := a.Victim(memsys.Addr(64 * 8)); v.Valid {
+	if v := a.Victim(memsys.Addr(64 * 8)); v.Valid() {
 		t.Errorf("victim is valid block %#x, want the invalidated way", a.AddrOf(v))
 	}
 }

@@ -325,16 +325,15 @@ func (s *System) access(core int, addr memsys.Addr, write, instr bool) memsys.Cy
 		cs.L1DMisses++
 	}
 	res := s.l2Access(now, core, addr, write)
-	v := arr.Victim(addr)
 	// Dirty victim write-back is functional only: the L2 already holds
 	// the block in M (ownership was taken on the first store).
-	arr.Install(v, addr, l1Line{})
-	nl := arr.Probe(addr)
-	if write && (s.comm == nil || !s.comm.IsCommunication(core, addr)) {
-		nl.Data.dirty = true
-	}
-	if write && s.comm != nil && s.comm.IsCommunication(core, addr) {
-		cs.Writethroughs++
+	nl := arr.Install(arr.Victim(addr), addr, l1Line{})
+	if write {
+		if s.comm != nil && s.comm.IsCommunication(core, addr) {
+			cs.Writethroughs++
+		} else {
+			nl.Data.dirty = true
+		}
 	}
 	return lat + res.Latency
 }

@@ -1,9 +1,12 @@
 package cmpsim
 
 import (
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"cmpnurapid/internal/bus"
+	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/core"
 	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
@@ -316,5 +319,16 @@ func TestL1InvalidationCoversExactlyTheL2Block(t *testing.T) {
 	if c.L1DMisses != 2 || c.L1DHits != 1 {
 		t.Errorf("D-cache stats = %d hits / %d misses, want 1/2 (neighbour line wrongly invalidated?)",
 			c.L1DHits, c.L1DMisses)
+	}
+}
+
+// TestL1LineIsCompact pins an L1 line at 16 B: a tag word, a 32-bit
+// LRU stamp and the dirty bit.
+func TestL1LineIsCompact(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(cache.Line[l1Line]{}); got != 16 {
+		t.Errorf("L1 line is %d B, want 16", got)
 	}
 }

@@ -278,7 +278,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 		// Uncontrolled replication: copy immediately, like a private
 		// cache's cache-to-cache fill.
 		lat += c.dgAccess(t, core, s.bestClean.group())
-		c.stats.BusTransactions.Inc(memsys.LabelFlush)
+		c.countBus(bus.Flush)
 		c.allocClosest(t, core, addr, tagPayload{state: coherence.Shared, broughtBy: memsys.ROSMiss})
 		return memsys.Result{Latency: lat, Category: memsys.ROSMiss, DGroup: -1}
 	}
@@ -287,7 +287,7 @@ func (c *Cache) missClean(t memsys.Cycle, core int, addr memsys.Addr, write bool
 	// pointer on the bus's pointer wires; we keep a tag copy pointing
 	// at the existing data copy and access it directly through the
 	// crossbar. No data copy is made on first use.
-	c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
+	c.countBus(bus.PtrReturn)
 	c.stats.PointerReturns++
 	lat += c.dgAccess(t, core, s.bestClean.group())
 	c.installTag(t, core, addr, tagPayload{
@@ -358,7 +358,7 @@ func (c *Cache) missDirty(t memsys.Cycle, core int, addr memsys.Addr, write bool
 // missDirtyMESI is the RWS-miss flow with ISC disabled: plain MESI.
 func (c *Cache) missDirtyMESI(t memsys.Cycle, core int, addr memsys.Addr, write bool, q ptr, lat memsys.Cycles) memsys.Result {
 	lat += c.dgAccess(t, core, q.group())
-	c.stats.BusTransactions.Inc(memsys.LabelFlush)
+	c.countBus(bus.Flush)
 	if write {
 		// BusRdX: the M holder flushes and invalidates; we take our own
 		// copy in the closest d-group.

@@ -165,10 +165,10 @@ func DefaultConfig() Config {
 }
 
 // ptr is a forward pointer: a frame in a d-group. The paper's tag entry
-// holds it in log2(frames) bits (§3.1); int32 fields keep a tag line
-// at 56 B instead of 72 B, which keeps the four tag arrays (the bulk
-// of a CMP-NuRAPID instance's heap) small and the 8-way set probe
-// within fewer cache lines.
+// holds it in log2(frames) bits (§3.1); int32 fields help keep a tag
+// line at 32 B, which keeps the four tag arrays (the bulk of a
+// CMP-NuRAPID instance's heap) small and an 8-way set probe within
+// four host cache lines.
 type ptr struct {
 	dgroup int32
 	frame  int32
@@ -184,17 +184,19 @@ func (p ptr) String() string { return fmt.Sprintf("%s/%d", topo.DGroupNames[p.dg
 
 // tagPayload is the per-tag-entry payload: coherence state, forward
 // pointer, and the block-lifetime bookkeeping behind Figure 7.
+// Fields run widest first (pointer, counters, then the two int8
+// enums) so the payload packs into 20 B and the line into 32 B.
 type tagPayload struct {
-	state coherence.State
-	fwd   ptr
-	// broughtBy records the miss category that installed this entry;
-	// reuses counts subsequent hits. Recorded into the reuse
-	// histograms when the entry dies.
-	broughtBy memsys.Category
-	reuses    int32
+	fwd ptr
+	// reuses counts hits since the entry was installed; it is recorded
+	// into the reuse histograms when the entry dies.
+	reuses int32
 	// farReads counts consecutive farther-d-group reads of a C block,
 	// for the optional stuck-copy migration extension.
 	farReads int32
+	state    coherence.State
+	// broughtBy records the miss category that installed this entry.
+	broughtBy memsys.Category
 }
 
 // tagLine is one private tag array entry.
@@ -362,23 +364,9 @@ func (c *Cache) dgAccess(now memsys.Cycle, core, dg int) memsys.Cycles {
 	return start.Sub(now) + c.latTo(core, dg)
 }
 
-// countBus tallies a bus transaction into the stats distribution.
-func (c *Cache) countBus(kind bus.Kind) {
-	switch kind {
-	case bus.BusRd:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRd)
-	case bus.BusRdX:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRdX)
-	case bus.BusUpg:
-		c.stats.BusTransactions.Inc(memsys.LabelBusUpg)
-	case bus.BusRepl:
-		c.stats.BusTransactions.Inc(memsys.LabelBusRepl)
-	case bus.Flush:
-		c.stats.BusTransactions.Inc(memsys.LabelFlush)
-	case bus.PtrReturn:
-		c.stats.BusTransactions.Inc(memsys.LabelPtrRet)
-	}
-}
+// countBus tallies a bus transaction into the stats distribution,
+// whose labels are registered in bus.Kind order.
+func (c *Cache) countBus(kind bus.Kind) { c.stats.BusTransactions.AddAt(int(kind), 1) }
 
 // transact issues a bus transaction and returns the cycles it adds to
 // the requester's critical path.
@@ -409,6 +397,8 @@ func (c *Cache) recordLifetime(p tagPayload) {
 		c.stats.ReuseROS.Record(int(p.reuses))
 	case memsys.RWSMiss:
 		c.stats.ReuseRWS.Record(int(p.reuses))
+	case memsys.Hit, memsys.CapacityMiss:
+		// Figure 7 follows only blocks a sharing miss brought in.
 	}
 }
 

@@ -672,16 +672,16 @@ func TestL1InvalidateCallback(t *testing.T) {
 	}
 }
 
-// TestTagLineIsCompact pins the tag line at 56 B: the forward pointer
-// and lifetime counters are int32, as the paper's log2(frames)-bit
-// pointer allows. A wider field would grow every tag array by a
-// quarter.
+// TestTagLineIsCompact pins the tag line at 32 B: one tag word, a
+// 32-bit LRU stamp, an int32 forward pointer and counters (as the
+// paper's log2(frames)-bit pointer allows) and two int8 enums. A wider
+// field or a reordering that adds padding would grow every tag array.
 func TestTagLineIsCompact(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("the pinned size is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(tagLine{}); got != 56 {
-		t.Fatalf("tag line is %d B, want 56", got)
+	if got := unsafe.Sizeof(tagLine{}); got != 32 {
+		t.Fatalf("tag line is %d B, want 32", got)
 	}
 }
 
@@ -701,6 +701,28 @@ func TestValidateRejectsFieldsWiderThanTags(t *testing.T) {
 			defer func() {
 				if r, _ := recover().(string); !strings.Contains(r, "32-bit tag fields") {
 					t.Errorf("%s: Validate panicked with %q, want the 32-bit tag fields diagnostic", name, r)
+				}
+			}()
+			cfg.Validate()
+		}()
+	}
+}
+
+// TestValidateRejectsZeroGeometry: each geometry field must be
+// positive, and a zero must trip that check, not a later one.
+func TestValidateRejectsZeroGeometry(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"block size": func(c *Config) { c.BlockBytes = 0 },
+		"tag sets":   func(c *Config) { c.TagSets = 0 },
+		"tag ways":   func(c *Config) { c.TagWays = 0 },
+		"frames":     func(c *Config) { c.DGroupFrames = 0 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "must be positive") {
+					t.Errorf("zero %s: Validate panicked with %q, want the must-be-positive diagnostic", name, r)
 				}
 			}()
 			cfg.Validate()

@@ -214,7 +214,7 @@ func (c *Cache) tagVictim(core int, addr memsys.Addr) *tagLine {
 	set := ta.SetIndex(addr)
 	for i := range ta.Set(set) {
 		l := &ta.Set(set)[i]
-		if !l.Valid {
+		if !l.Valid() {
 			return l
 		}
 	}
@@ -241,7 +241,7 @@ func (c *Cache) tagVictim(core int, addr memsys.Addr) *tagLine {
 // a frame was freed (the specific target for distance replacement), or
 // -1 when no frame was freed (pointer-only entries and invalid lines).
 func (c *Cache) evictTagEntry(now memsys.Cycle, core int, l *tagLine) int {
-	if !l.Valid {
+	if !l.Valid() {
 		return -1
 	}
 	addr := c.tags[core].AddrOf(l)

@@ -14,6 +14,12 @@ import (
 // scheduler's own cost: farm-scale PRs (sharded multi-process
 // execution, MSHR-driven async cells) inherit this as the floor their
 // coordination overhead is diffed against via BENCH_quick.json.
+//
+// It does not report allocations: each call spawns its workers, and
+// whether the runtime reuses a dead goroutine or a parked waiter's
+// record or allocates a new one depends on scheduling, so B/op varies
+// run to run even after a warm-up. BENCH_quick.json tracks its ns/op
+// only.
 func BenchmarkExecuteCells(b *testing.B) {
 	for _, workers := range []int{4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
@@ -28,7 +34,6 @@ func BenchmarkExecuteCells(b *testing.B) {
 					sink.Add(int64(x))
 				}}
 			}
-			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				ExecuteCells(cells, workers, false, nil)

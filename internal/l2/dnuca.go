@@ -181,11 +181,11 @@ func (d *DNUCA) migrate(addr memsys.Addr, from, to int) {
 	// Displaced victim (if any) moves to the vacated slot in `from` —
 	// the swap that keeps occupancy constant.
 	v := d.banks[to].Victim(addr)
-	if v.Valid {
+	if v.Valid() {
 		displaced := d.banks[to].AddrOf(v)
 		d.banks[to].Invalidate(v)
 		fv := d.banks[from].Victim(displaced)
-		if fv.Valid {
+		if fv.Valid() {
 			// Conflict in the vacated set: evict outright (inclusion).
 			d.evict(d.banks[from].AddrOf(fv))
 			d.banks[from].Invalidate(fv)
@@ -193,7 +193,7 @@ func (d *DNUCA) migrate(addr memsys.Addr, from, to int) {
 		d.banks[from].Install(fv, displaced, sharedPayload{})
 	}
 	nv := d.banks[to].Victim(addr)
-	if nv.Valid {
+	if nv.Valid() {
 		d.evict(d.banks[to].AddrOf(nv))
 		d.banks[to].Invalidate(nv)
 	}
@@ -204,7 +204,7 @@ func (d *DNUCA) migrate(addr memsys.Addr, from, to int) {
 // install places addr into bank b, evicting as needed.
 func (d *DNUCA) install(addr memsys.Addr, b int) {
 	v := d.banks[b].Victim(addr)
-	if v.Valid {
+	if v.Valid() {
 		d.evict(d.banks[b].AddrOf(v))
 	}
 	d.banks[b].Install(v, addr, sharedPayload{})

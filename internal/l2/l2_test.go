@@ -1,9 +1,13 @@
 package l2
 
 import (
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cmpnurapid/internal/bus"
+	"cmpnurapid/internal/cache"
 	"cmpnurapid/internal/coherence"
 	"cmpnurapid/internal/memsys"
 	"cmpnurapid/internal/rng"
@@ -347,4 +351,35 @@ func TestPrivateWritebackOnlyOnModifiedEviction(t *testing.T) {
 	if p.Writebacks != 1 {
 		t.Errorf("Writebacks = %d, want exactly 1 (the Modified eviction)", p.Writebacks)
 	}
+}
+
+// TestPrivateLinesAreCompact pins the snoopy private designs' lines at
+// 24 B: a tag word, a 32-bit LRU stamp and an 8 B payload (int8 state
+// and category, int32 reuse count).
+func TestPrivateLinesAreCompact(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the pinned size is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(cache.Line[privPayload]{}); got != 24 {
+		t.Errorf("private line is %d B, want 24", got)
+	}
+	if got := unsafe.Sizeof(cache.Line[updPayload]{}); got != 24 {
+		t.Errorf("update-protocol line is %d B, want 24", got)
+	}
+}
+
+// TestPrivateInvariantsDetectOwnerWithOneSharer: a Modified owner next
+// to a single Shared copy already breaks MESI's single-writer rule.
+func TestPrivateInvariantsDetectOwnerWithOneSharer(t *testing.T) {
+	p := smallPrivate()
+	for core, st := range []coherence.State{coherence.Modified, coherence.Shared} {
+		arr := p.caches[core]
+		arr.Install(arr.Victim(0x1000), 0x1000, privPayload{state: st})
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "owner coexists with sharers") {
+			t.Fatalf("panic = %q, want the owner-with-sharers diagnostic", msg)
+		}
+	}()
+	p.CheckInvariants()
 }

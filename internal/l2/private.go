@@ -15,7 +15,7 @@ import (
 type privPayload struct {
 	state     coherence.State
 	broughtBy memsys.Category
-	reuses    int
+	reuses    int32
 }
 
 // Private models the per-core private cache baseline: four 2 MB 8-way
@@ -100,9 +100,11 @@ func (p *Private) kill(core int, l *cache.Line[privPayload]) {
 	addr := p.caches[core].AddrOf(l)
 	switch l.Data.broughtBy {
 	case memsys.ROSMiss:
-		p.stats.ReuseROS.Record(l.Data.reuses)
+		p.stats.ReuseROS.Record(int(l.Data.reuses))
 	case memsys.RWSMiss:
-		p.stats.ReuseRWS.Record(l.Data.reuses)
+		p.stats.ReuseRWS.Record(int(l.Data.reuses))
+	case memsys.Hit, memsys.CapacityMiss:
+		// Figure 7 follows only blocks a sharing miss brought in.
 	}
 	if l.Data.state == coherence.Modified {
 		p.Writebacks++
@@ -151,10 +153,10 @@ func (p *Private) snoopOthers(core int, addr memsys.Addr, op coherence.BusOp) (s
 		case coherence.Flush:
 			supplier = o
 			p.Writebacks++ // MESI flush updates memory
-			p.stats.BusTransactions.Inc(memsys.LabelFlush)
+			p.stats.BusTransactions.AddAt(int(bus.Flush), 1)
 		case coherence.FlushClean:
 			supplier = o
-			p.stats.BusTransactions.Inc(memsys.LabelFlush)
+			p.stats.BusTransactions.AddAt(int(bus.Flush), 1)
 		case coherence.None:
 			if supplier < 0 && l.Data.state == coherence.Shared && op != coherence.BusUpg {
 				supplier = o
@@ -198,7 +200,7 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		if busOp != coherence.BusNone {
 			// S→M upgrade: the bus transaction is on the critical path.
 			vis := p.bus.Transact(t, bus.BusUpg)
-			p.stats.BusTransactions.Inc(memsys.LabelBusUpg)
+			p.stats.BusTransactions.AddAt(int(bus.BusUpg), 1)
 			lat += vis.Sub(t)
 			p.snoopOthers(core, addr, coherence.BusUpg)
 		}
@@ -227,11 +229,7 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		mesiOp = coherence.BusRdX
 	}
 	vis := p.bus.Transact(t, busKind)
-	if busKind == bus.BusRd {
-		p.stats.BusTransactions.Inc(memsys.LabelBusRd)
-	} else {
-		p.stats.BusTransactions.Inc(memsys.LabelBusRdX)
-	}
+	p.stats.BusTransactions.AddAt(int(busKind), 1)
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 
@@ -247,7 +245,7 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 
 	newState, _ := coherence.MESIProc(coherence.Invalid, op, sig)
 	v := arr.Victim(addr)
-	if v.Valid {
+	if v.Valid() {
 		p.kill(core, v)
 	}
 	arr.Install(v, addr, privPayload{state: newState, broughtBy: category})

@@ -94,7 +94,7 @@ func (s *Shared) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool
 	}
 	s.stats.OffChipMisses++
 	v := s.arr.Victim(addr)
-	if v.Valid {
+	if v.Valid() {
 		evicted := s.arr.AddrOf(v)
 		// Inclusion: every core's L1 may hold the dying block.
 		if s.l1inv != nil {

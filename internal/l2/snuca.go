@@ -160,7 +160,7 @@ func (s *SNUCA) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool)
 	}
 	s.stats.OffChipMisses++
 	v := bank.Victim(inner)
-	if v.Valid && s.l1inv != nil {
+	if v.Valid() && s.l1inv != nil {
 		evicted := s.outerAddr(bank.AddrOf(v), b)
 		for c := 0; c < topo.NumCores; c++ {
 			s.l1inv(c, evicted)

@@ -45,7 +45,7 @@ type updPayload struct {
 	exclusive bool
 	dirty     bool
 	broughtBy memsys.Category
-	reuses    int
+	reuses    int32
 }
 
 // NewPrivateUpdate builds the update-protocol baseline at the paper's
@@ -149,9 +149,11 @@ func (p *PrivateUpdate) kill(core int, l *cache.Line[updPayload]) {
 	addr := p.caches[core].AddrOf(l)
 	switch l.Data.broughtBy {
 	case memsys.ROSMiss:
-		p.stats.ReuseROS.Record(l.Data.reuses)
+		p.stats.ReuseROS.Record(int(l.Data.reuses))
 	case memsys.RWSMiss:
-		p.stats.ReuseRWS.Record(l.Data.reuses)
+		p.stats.ReuseRWS.Record(int(l.Data.reuses))
+	case memsys.Hit, memsys.CapacityMiss:
+		// Figure 7 follows only blocks a sharing miss brought in.
 	}
 	if l.Data.dirty {
 		// The owner's eviction hands write-back duty to memory; any
@@ -169,7 +171,7 @@ func (p *PrivateUpdate) kill(core int, l *cache.Line[updPayload]) {
 // writer becomes the dirty owner.
 func (p *PrivateUpdate) update(core int, addr memsys.Addr) {
 	p.Updates++
-	p.stats.BusTransactions.Inc(memsys.LabelBusUpg)
+	p.stats.BusTransactions.AddAt(int(bus.BusUpg), 1)
 	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
@@ -223,7 +225,7 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 		category = memsys.ROSMiss
 	}
 	vis := p.bus.Transact(t, bus.BusRd)
-	p.stats.BusTransactions.Inc(memsys.LabelBusRd)
+	p.stats.BusTransactions.AddAt(int(bus.BusRd), 1)
 	lat += vis.Sub(t)
 	t2 := now.Add(lat)
 	if n > 0 {
@@ -235,7 +237,7 @@ func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, wri
 	}
 
 	v := arr.Victim(addr)
-	if v.Valid {
+	if v.Valid() {
 		p.kill(core, v)
 	}
 	pay := updPayload{exclusive: n == 0, broughtBy: category}

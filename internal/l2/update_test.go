@@ -173,3 +173,24 @@ func TestUpdateLineStateTracksExclusivity(t *testing.T) {
 		t.Errorf("second sharer's fill state = %q, want S", st)
 	}
 }
+
+// TestUpdateEvictionDropsL1Copy: evicting a block from a core's L2
+// must drop that core's L1 copy (inclusion), through the registered
+// callback, and only for the victim.
+func TestUpdateEvictionDropsL1Copy(t *testing.T) {
+	p := smallUpdate()
+	type drop struct {
+		core int
+		addr memsys.Addr
+	}
+	var drops []drop
+	p.SetL1Invalidate(func(core int, addr memsys.Addr) { drops = append(drops, drop{core, addr}) })
+	// 4 KB, 4-way, 64 B blocks: 16 sets, so a 1 KB stride stays in one
+	// set and the fifth block evicts the first.
+	for i := 0; i < 5; i++ {
+		p.Access(memsys.Cycle(i*1000), 0, memsys.Addr(i*1024), false)
+	}
+	if len(drops) != 1 || drops[0] != (drop{0, 0}) {
+		t.Errorf("L1 drops = %v, want one for core 0's block 0x0", drops)
+	}
+}

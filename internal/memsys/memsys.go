@@ -28,8 +28,8 @@ type Access struct {
 }
 
 // Category classifies an L2 access outcome the way the paper's
-// Figures 5, 8, and 11 do.
-type Category int
+// Figures 5, 8, and 11 do. Its values index L2Stats.Accesses.
+type Category int8
 
 const (
 	// Hit: the L2 supplied the block without an off-chip access or a
@@ -45,7 +45,6 @@ const (
 	// CapacityMiss: no other on-chip copy; the block comes from memory.
 	// Cold misses are folded in, as the paper measures after warm-up.
 	CapacityMiss
-	numCategories
 )
 
 func (c Category) String() string {
@@ -132,7 +131,8 @@ type L1Coherent interface {
 	MaintainsL1Coherence()
 }
 
-// Access-distribution labels shared by all figures.
+// Access-distribution labels shared by all figures, registered in
+// Category order.
 const (
 	LabelHit      = "hits"
 	LabelROS      = "ROS misses"
@@ -145,6 +145,13 @@ const (
 	LabelClosest = "hits in closest d-grp"
 	LabelFarther = "hits in farther d-grps"
 	LabelMiss    = "misses"
+)
+
+// Indices of the data-array labels, in registration order.
+const (
+	dataClosest = iota
+	dataFarther
+	dataMiss
 )
 
 // L2Stats accumulates everything the evaluation figures need.
@@ -176,7 +183,8 @@ type L2Stats struct {
 	LatencySum uint64
 }
 
-// Bus-transaction labels.
+// Bus-transaction labels, registered in bus.Kind order (whose String
+// values they equal), so recording sites index them by int(kind).
 const (
 	LabelBusRd   = "BusRd"
 	LabelBusRdX  = "BusRdX"
@@ -200,29 +208,22 @@ func NewL2Stats() *L2Stats {
 // distributions.
 func (s *L2Stats) RecordAccess(r Result) {
 	s.LatencySum += uint64(r.Latency)
+	s.Accesses.AddAt(int(r.Category), 1)
 	switch r.Category {
 	case Hit:
-		s.Accesses.Inc(LabelHit)
 		if r.DGroup >= 0 {
 			if r.ClosestDGroup {
-				s.DataArray.Inc(LabelClosest)
+				s.DataArray.AddAt(dataClosest, 1)
 			} else {
-				s.DataArray.Inc(LabelFarther)
+				s.DataArray.AddAt(dataFarther, 1)
 			}
 		} else {
 			// Designs without d-groups count every hit as closest so
 			// the data-array distribution stays well-defined.
-			s.DataArray.Inc(LabelClosest)
+			s.DataArray.AddAt(dataClosest, 1)
 		}
-	case ROSMiss:
-		s.Accesses.Inc(LabelROS)
-		s.DataArray.Inc(LabelMiss)
-	case RWSMiss:
-		s.Accesses.Inc(LabelRWS)
-		s.DataArray.Inc(LabelMiss)
-	case CapacityMiss:
-		s.Accesses.Inc(LabelCapacity)
-		s.DataArray.Inc(LabelMiss)
+	case ROSMiss, RWSMiss, CapacityMiss:
+		s.DataArray.AddAt(dataMiss, 1)
 	}
 }
 

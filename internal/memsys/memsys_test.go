@@ -127,3 +127,31 @@ func TestRecordAccessDataArrayLabels(t *testing.T) {
 		t.Errorf("farther hits = %d, want 1 (d-group 0 is a real d-group)", got)
 	}
 }
+
+// TestAccessLabelsFollowCategoryOrder: RecordAccess indexes the tag
+// distribution by Category, so category c must land on its own label.
+// Recording c+1 accesses of each category tells every slot apart.
+func TestAccessLabelsFollowCategoryOrder(t *testing.T) {
+	s := NewL2Stats()
+	labels := map[Category]string{Hit: LabelHit, ROSMiss: LabelROS, RWSMiss: LabelRWS, CapacityMiss: LabelCapacity}
+	for c := range labels {
+		for i := 0; i <= int(c); i++ {
+			s.RecordAccess(Result{Category: c, DGroup: -1})
+		}
+	}
+	for c, l := range labels {
+		if got := s.Accesses.Count(l); got != uint64(c)+1 {
+			t.Errorf("%s = %d, want %d", l, got, int(c)+1)
+		}
+	}
+}
+
+// TestRecordAccessFartherHitInDGroupZero: d-group 0 is a real d-group,
+// so a farther hit served there counts as farther.
+func TestRecordAccessFartherHitInDGroupZero(t *testing.T) {
+	s := NewL2Stats()
+	s.RecordAccess(Result{Category: Hit, DGroup: 0, ClosestDGroup: false})
+	if got := s.DataArray.Count(LabelFarther); got != 1 {
+		t.Errorf("farther = %d, want 1", got)
+	}
+}

@@ -199,7 +199,7 @@ func (c *Cache) Access(addr memsys.Addr) (latency memsys.Cycles, hit bool) {
 
 	victim := c.tags.Victim(addr)
 	freedDG := -1
-	if victim.Valid {
+	if victim.Valid() {
 		p := victim.Data.fwd
 		c.releaseFrame(p)
 		freedDG = p.dgroup

@@ -49,6 +49,11 @@ func (d *Dist) Add(label string, n uint64) {
 // Inc increments label by one.
 func (d *Dist) Inc(label string) { d.Add(label, 1) }
 
+// AddAt increments the i-th label (in registration order) by n. It is
+// Add without the map lookup, for per-access recording sites whose
+// enum values index the labels.
+func (d *Dist) AddAt(i int, n uint64) { d.counts[i] += n }
+
 // Count returns the count for label.
 func (d *Dist) Count(label string) uint64 {
 	i, ok := d.index[label]

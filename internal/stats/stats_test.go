@@ -262,3 +262,13 @@ func TestSortedKeys(t *testing.T) {
 		}
 	}
 }
+
+func TestDistAddAtIndexesRegistrationOrder(t *testing.T) {
+	d := NewDist("a", "b", "c")
+	d.AddAt(1, 2)
+	d.AddAt(2, 5)
+	d.Inc("b")
+	if got := []uint64{d.Count("a"), d.Count("b"), d.Count("c")}; got[0] != 0 || got[1] != 3 || got[2] != 5 {
+		t.Errorf("counts = %v, want [0 3 5]", got)
+	}
+}

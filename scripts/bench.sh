@@ -3,12 +3,11 @@
 # deterministic benchmark set at fixed iteration counts and either
 # diffs the result against the committed BENCH_quick.json (default;
 # allocs/op and B/op exact, wall time and throughput within slack) or
-# rewrites it (-update). Benchmarks are included only when their
-# allocation profile is bit-stable across machines: single-goroutine
-# seeded workloads, plus the cell-farm benchmark whose worker count
-# and plan are fixed (its per-run allocations are deterministic even
-# though execution is parallel). Wall-clock numbers are
-# machine-dependent and carry a generous tolerance (override with
+# rewrites it (-update). Benchmarks report allocations only when their
+# allocation profile is bit-stable across runs: single-goroutine seeded
+# workloads. The two that spawn goroutines or processes per iteration
+# (cell pool, farm) are tracked by wall time only. Wall-clock numbers
+# are machine-dependent and carry a generous tolerance (override with
 # BENCH_SLACK).
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,9 +26,10 @@ run_benches() {
 	go test -run '^$' -bench '^(BenchmarkSharedAccess|BenchmarkSNUCAAccess|BenchmarkPrivateAccess)$' -benchtime 10000x -benchmem ./internal/l2
 	go test -run '^$' -bench '^(BenchmarkGeneratorNext|BenchmarkMixNext|BenchmarkMixesConstruct)$' -benchtime 100000x -benchmem ./internal/workload
 	go test -run '^$' -bench '^BenchmarkZipfNext$' -benchtime 100000x -benchmem ./internal/rng
-	go test -run '^$' -bench '^BenchmarkExecuteCells$' -benchtime 200x -benchmem ./internal/experiments
-	# No -benchmem: subprocess spawning allocates nondeterministically,
-	# so the farm benchmark tracks wall time only (docs/ROBUSTNESS.md).
+	# No -benchmem below: goroutine and subprocess spawning allocate
+	# nondeterministically, so the cell pool and the farm track wall
+	# time only (docs/PERF.md, docs/ROBUSTNESS.md).
+	go test -run '^$' -bench '^BenchmarkExecuteCells$' -benchtime 200x ./internal/experiments
 	go test -run '^$' -bench '^BenchmarkFarmOverhead$' -benchtime 50x ./internal/farm
 }
 

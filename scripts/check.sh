@@ -66,6 +66,13 @@ go run ./cmd/experiments -exp all -parallel 2 -warmup 200000 -instr 200000 -seed
 diff docs/golden/quick_all.golden /tmp/quick_all_p1.out
 diff docs/golden/quick_all.golden /tmp/quick_all_p2.out
 
+echo "== experiments built with -pgo=off: quick -exp all vs golden =="
+# The runs above use cmd/experiments/default.pgo (Go's default
+# -pgo=auto). The same bytes without it prove the profile is purely a
+# speed input.
+go run -pgo=off ./cmd/experiments -exp all -parallel 1 -warmup 200000 -instr 200000 -seed 42 -quiet > /tmp/quick_all_nopgo.out
+diff docs/golden/quick_all.golden /tmp/quick_all_nopgo.out
+
 echo "== chaos: fault-injection sweep under race (docs/ROBUSTNESS.md) =="
 go test -race -short -run 'TestChaosSweep|TestControlInjectorIsBitIdentical' ./internal/simguard
 
