@@ -264,3 +264,7 @@ func log2(n int) int {
 	}
 	return b
 }
+
+// BlockBits returns log2 of the block size: the shift from a byte
+// address to its block number.
+func (a *Array[T]) BlockBits() uint { return a.blockBits }

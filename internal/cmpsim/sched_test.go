@@ -4,10 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"cmpnurapid/internal/core"
-	"cmpnurapid/internal/l2"
 	"cmpnurapid/internal/memsys"
-	"cmpnurapid/internal/rng"
 	"cmpnurapid/internal/simguard"
 )
 
@@ -20,117 +17,23 @@ type lockstepWorkload struct{}
 func (lockstepWorkload) Next(core int) Op { return Op{Compute: 1, NoMem: true} }
 func (lockstepWorkload) Name() string     { return "lockstep" }
 
-// tracedRun executes warmup+run on s recording the step-order trace
-// through the test-only onStep hook.
-func tracedRun(s *System, warmup int, quantum uint64, scan bool) (trace []int, r Results) {
-	s.onStep = func(core int) { trace = append(trace, core) }
-	if scan {
-		s.warmupScan(warmup)
-		r = s.runScan(quantum)
-	} else {
-		s.Warmup(warmup)
-		r = s.Run(quantum)
-	}
-	s.onStep = nil
-	return trace, r
-}
-
 // TestSchedulerTieBreakPinned pins the tie-break contract on a
-// workload where every pick is a tie: the heap must step cores in
-// strict round-robin order (lowest index first), exactly like the
-// reference scan. The schedmutant build tag — the seeded scheduler
-// bug that drops the (clock, coreID) tie-break — must make this test
-// fail; check.sh and CI prove that it does.
+// workload where every pick is a tie: runUntil must step cores in
+// strict round-robin order, lowest index first. A scan comparison that
+// lets a later core win a tie (`<=` for `<`) reverses the order and
+// fails here.
 func TestSchedulerTieBreakPinned(t *testing.T) {
-	heap := New(smallCfg(), sharedL2(), lockstepWorkload{})
-	heapTrace, _ := tracedRun(heap, 0, 8, false)
+	sys := New(smallCfg(), sharedL2(), lockstepWorkload{})
+	var trace []int
+	sys.onStep = func(core int) { trace = append(trace, core) }
+	sys.Run(8)
 
-	scan := New(smallCfg(), sharedL2(), lockstepWorkload{})
-	scanTrace, _ := tracedRun(scan, 0, 8, true)
-
-	if !reflect.DeepEqual(heapTrace, scanTrace) {
-		t.Fatalf("heap trace %v != scan trace %v", heapTrace, scanTrace)
+	if len(trace) != 32 {
+		t.Fatalf("trace has %d steps, want 32 (8 instructions x 4 cores)", len(trace))
 	}
-	if len(heapTrace) != 32 {
-		t.Fatalf("trace has %d steps, want 32 (8 instructions x 4 cores)", len(heapTrace))
-	}
-	for i, c := range heapTrace {
+	for i, c := range trace {
 		if c != i%4 {
-			t.Fatalf("step %d ran core %d, want strict round-robin (core %d): %v", i, c, i%4, heapTrace)
-		}
-	}
-}
-
-// diffWorkload is a seeded random stream mixing private and contended
-// shared references, stores, instruction fetches and pure compute —
-// every op class the scheduler can interleave. Deterministic per seed,
-// so two instances with the same seed serve identical streams as long
-// as both systems ask in the same core order (which is exactly what
-// the differential test is proving).
-type diffWorkload struct {
-	r *rng.Source
-}
-
-func (w *diffWorkload) Name() string { return "sched-differential" }
-
-func (w *diffWorkload) Next(core int) Op {
-	op := Op{Compute: w.r.Intn(3)}
-	switch w.r.Intn(8) {
-	case 0: // pure compute
-		op.Compute++
-		op.NoMem = true
-		return op
-	case 1: // instruction fetch
-		op.Addr = memsys.Addr(0x40000 + w.r.Intn(32)*64)
-		op.Instr = true
-		return op
-	case 2, 3: // contended read-write shared
-		op.Addr = memsys.Addr(0x90000 + w.r.Intn(16)*64)
-	default: // private
-		op.Addr = memsys.Addr(0x10000*(core+1) + w.r.Intn(128)*64)
-	}
-	op.Write = w.r.Bool(0.35)
-	return op
-}
-
-// TestSeqVsHeapEquivalence is the randomized differential gate for the
-// event-driven refactor: for several seeds and every L2 design family,
-// the heap loop and the reference scan must produce identical
-// step-order traces (warmup and measurement) and identical Results.
-// It fails under the schedmutant build tag (the dropped tie-break
-// reorders tied cores), which is CI's scheduler-mutant-catch step.
-func TestSeqVsHeapEquivalence(t *testing.T) {
-	designs := map[string]func() memsys.L2{
-		"shared":      sharedL2,
-		"private":     func() memsys.L2 { return l2.NewPrivate() },
-		"cmp-nurapid": func() memsys.L2 { return core.New(core.DefaultConfig()) },
-	}
-	for name, mk := range designs {
-		for seed := uint64(1); seed <= 3; seed++ {
-			heap := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
-			heapTrace, heapRes := tracedRun(heap, 300, 1500, false)
-
-			scan := New(smallCfg(), mk(), &diffWorkload{r: rng.New(seed)})
-			scanTrace, scanRes := tracedRun(scan, 300, 1500, true)
-
-			if !reflect.DeepEqual(heapTrace, scanTrace) {
-				n := len(heapTrace)
-				if len(scanTrace) < n {
-					n = len(scanTrace)
-				}
-				div := n
-				for i := 0; i < n; i++ {
-					if heapTrace[i] != scanTrace[i] {
-						div = i
-						break
-					}
-				}
-				t.Fatalf("%s seed %d: step traces diverge at step %d (heap %d steps, scan %d steps)",
-					name, seed, div, len(heapTrace), len(scanTrace))
-			}
-			if !reflect.DeepEqual(heapRes, scanRes) {
-				t.Errorf("%s seed %d: results diverge:\nheap: %+v\nscan: %+v", name, seed, heapRes, scanRes)
-			}
+			t.Fatalf("step %d ran core %d, want strict round-robin (core %d): %v", i, c, i%4, trace)
 		}
 	}
 }
@@ -149,7 +52,7 @@ func (w *missStream) Next(core int) Op {
 }
 
 // TestExplicitCeilingIsPhaseRelative is the regression test for the
-// cycle-ceiling anchoring bug: the pre-heap loop anchored an explicit
+// cycle-ceiling anchoring bug: an earlier loop anchored an explicit
 // MaxCycles at absolute cycle 0, so after a warmup that consumed more
 // cycles than the budget, a healthy measurement run tripped the
 // ceiling on its very first step. The budget must instead anchor at
@@ -196,47 +99,65 @@ func TestExplicitCeilingIsPhaseRelative(t *testing.T) {
 	sys.Run(1_000_000)
 }
 
-// TestWatchdogTripIdenticalUnderHeap verifies the watchdog observation
-// point (the popped pre-step laggard clock) gives the event-driven
-// loop exactly the scan loop's detection window: both implementations
-// must abort a partial livelock after the same number of steps, at the
-// same clock, with the same per-core snapshot.
-func TestWatchdogTripIdenticalUnderHeap(t *testing.T) {
-	mkOps := func() [][]Op {
-		ops := make([][]Op, 4)
-		for c := range ops {
-			for i := 0; i < 20; i++ {
-				ops[c] = append(ops[c], Op{Addr: memsys.Addr(0x10000*(c+1) + i*4096), Write: i%3 == 0})
-			}
-		}
-		return ops
-	}
-	trip := func(scan bool) (stall *simguard.ProgressStall) {
+// TestCycleCeilingIsInclusive pins the ceiling's boundary: the check
+// fires only when the laggard's pre-step clock passes the limit, so a
+// phase whose last step starts exactly at the limit completes. On the
+// lockstep workload Run(8) takes its last steps at clock 7.
+func TestCycleCeilingIsInclusive(t *testing.T) {
+	run := func(budget int) (aborted bool) {
 		cfg := smallCfg()
-		cfg.StallWindow = memsys.CyclesOf(256)
-		w := &partialLivelock{script: newScripted(mkOps()), healthy: 20}
-		sys := New(cfg, sharedL2(), w)
+		cfg.MaxCycles = memsys.CyclesOf(budget)
+		sys := New(cfg, sharedL2(), lockstepWorkload{})
 		defer func() {
-			var ok bool
-			if stall, ok = recover().(*simguard.ProgressStall); !ok {
-				t.Fatal("partial livelock did not trip the watchdog")
-			}
+			_, aborted = recover().(*simguard.CycleLimitExceeded)
 		}()
-		if scan {
-			sys.runScan(1_000_000)
-		} else {
-			sys.Run(1_000_000)
+		sys.Run(8)
+		return false
+	}
+	if run(7) {
+		t.Error("run whose last step starts at the limit aborted")
+	}
+	if !run(6) {
+		t.Error("run whose last step starts past the limit completed")
+	}
+}
+
+// TestWatchdogTripPinned pins the watchdog's detection point — it
+// observes the laggard's pre-step clock — on a partial livelock: every
+// core serves 20 scripted misses, then spins on zero-work ops. The
+// abort must land at the recorded step count and clock, with the
+// recorded per-core snapshot.
+func TestWatchdogTripPinned(t *testing.T) {
+	ops := make([][]Op, 4)
+	for c := range ops {
+		for i := 0; i < 20; i++ {
+			ops[c] = append(ops[c], Op{Addr: memsys.Addr(0x10000*(c+1) + i*4096), Write: i%3 == 0})
 		}
-		return nil
 	}
-	heap, scan := trip(false), trip(true)
-	if heap.Steps != scan.Steps || heap.Now != scan.Now {
-		t.Errorf("detection point diverges: heap (steps=%d now=%d) vs scan (steps=%d now=%d)",
-			heap.Steps, uint64(heap.Now), scan.Steps, uint64(scan.Now))
-	}
-	if !reflect.DeepEqual(heap.Cores, scan.Cores) {
-		t.Errorf("stall snapshots diverge:\nheap: %+v\nscan: %+v", heap.Cores, scan.Cores)
-	}
+	cfg := smallCfg()
+	cfg.StallWindow = memsys.CyclesOf(256)
+	sys := New(cfg, sharedL2(), &partialLivelock{script: newScripted(ops), healthy: 20})
+	defer func() {
+		stall, ok := recover().(*simguard.ProgressStall)
+		if !ok {
+			t.Fatal("partial livelock did not trip the watchdog")
+		}
+		if stall.Steps != 1 || stall.Now != 7240 {
+			t.Errorf("detection point (steps=%d now=%d), want (steps=1 now=7240)", stall.Steps, uint64(stall.Now))
+		}
+		var want []simguard.CoreSnapshot
+		for c := 0; c < 4; c++ {
+			want = append(want, simguard.CoreSnapshot{
+				Core: c, Cycles: 7240, Instructions: 20,
+				OutstandingMiss: true, Addr: memsys.Addr(0x23000 + 0x10000*c),
+				LineState: "resident",
+			})
+		}
+		if !reflect.DeepEqual(stall.Cores, want) {
+			t.Errorf("stall snapshot:\n got %+v\nwant %+v", stall.Cores, want)
+		}
+	}()
+	sys.Run(1_000_000)
 }
 
 // TestRunZeroQuantumNeedsNoSteps pins the phase-start completion scan:
@@ -253,32 +174,5 @@ func TestRunZeroQuantumNeedsNoSteps(t *testing.T) {
 	}
 	if len(r.Cores) != 4 || r.Instructions != 0 {
 		t.Errorf("Run(0) results: %+v", r)
-	}
-}
-
-// TestHeapMatchesScanAfterReentry pins heap reconstruction across
-// phases: a second Run on the same system (clocks mid-flight, stale
-// heap order from the previous phase) must still track the scan.
-func TestHeapMatchesScanAfterReentry(t *testing.T) {
-	heap := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
-	scan := New(smallCfg(), sharedL2(), &diffWorkload{r: rng.New(99)})
-
-	var heapTrace, scanTrace []int
-	heap.onStep = func(c int) { heapTrace = append(heapTrace, c) }
-	scan.onStep = func(c int) { scanTrace = append(scanTrace, c) }
-	for i := 0; i < 3; i++ {
-		// Each warmup resets the quantum baselines, so every Run is a
-		// fresh phase entered with mid-flight clocks and whatever heap
-		// order the previous phase left behind.
-		heap.Warmup(100 * (i + 1))
-		scan.warmupScan(100 * (i + 1))
-		hr := heap.Run(400)
-		sr := scan.runScan(400)
-		if !reflect.DeepEqual(hr, sr) {
-			t.Fatalf("run %d results diverge:\nheap: %+v\nscan: %+v", i, hr, sr)
-		}
-	}
-	if !reflect.DeepEqual(heapTrace, scanTrace) {
-		t.Fatalf("re-entry traces diverge (heap %d steps, scan %d steps)", len(heapTrace), len(scanTrace))
 	}
 }

@@ -86,7 +86,7 @@ func (d *DNUCA) blockBytes() memsys.Bytes { return d.banks[0].Geometry().BlockBy
 // nearest member is its closest bank and one whose members are both a
 // middle-distance hop away.
 func (d *DNUCA) bankset(core int, addr memsys.Addr) [2]int {
-	bit := int(uint64(addr)>>uint(log2i(int(d.blockBytes())))) & 1
+	bit := int(uint64(addr)>>d.banks[0].BlockBits()) & 1
 	var set [2]int
 	if bit == 0 {
 		set = [2]int{0, 3} // a, d
@@ -99,19 +99,9 @@ func (d *DNUCA) bankset(core int, addr memsys.Addr) [2]int {
 	return set
 }
 
-func log2i(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // BankOf returns the bank currently holding addr, or -1 (exposed for
 // tests and the migration analysis).
 func (d *DNUCA) BankOf(addr memsys.Addr) int {
-	addr = addr.BlockAddr(d.blockBytes())
 	for b, arr := range d.banks {
 		if arr.Probe(addr) != nil {
 			return b

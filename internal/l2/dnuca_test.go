@@ -70,6 +70,24 @@ func TestDNUCAMigrationTowardRequester(t *testing.T) {
 	d.CheckInvariants()
 }
 
+// TestDNUCAMigrateToSameBankIsNoOp: a self-migration must leave the
+// block where it is and count nothing. BankOf must also find the block
+// from any byte address inside it.
+func TestDNUCAMigrateToSameBankIsNoOp(t *testing.T) {
+	d := smallDNUCA()
+	a := memsys.Addr(0x1000)
+	d.Access(0, 0, a, false)
+	b := d.BankOf(a)
+	d.migrate(a, b, b)
+	if d.Migrations != 0 {
+		t.Errorf("self-migration counted %d migrations, want 0", d.Migrations)
+	}
+	if got := d.BankOf(a + 17); got != b {
+		t.Errorf("block in bank %d after self-migration, want %d", got, b)
+	}
+	d.CheckInvariants()
+}
+
 func TestDNUCASingleCopy(t *testing.T) {
 	d := smallDNUCA()
 	a := memsys.Addr(0x1000)

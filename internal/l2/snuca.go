@@ -77,18 +77,9 @@ func (s *SNUCA) Stats() *memsys.L2Stats { return s.stats }
 // SetL1Invalidate implements memsys.L1Invalidator.
 func (s *SNUCA) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { s.l1inv = fn }
 
-// blockBits returns log2 of the block size.
-func (s *SNUCA) blockBits() uint {
-	b := uint(0)
-	for bs := int(s.banks[0].Geometry().BlockBytes); bs > 1; bs >>= 1 {
-		b++
-	}
-	return b
-}
-
 // bankOf statically interleaves block addresses across banks.
 func (s *SNUCA) bankOf(addr memsys.Addr) int {
-	return int((uint64(addr) >> s.blockBits()) % uint64(len(s.banks)))
+	return int((uint64(addr) >> s.banks[0].BlockBits()) % uint64(len(s.banks)))
 }
 
 // innerAddr folds the bank-select bits out of an address so the bank's
@@ -96,7 +87,7 @@ func (s *SNUCA) bankOf(addr memsys.Addr) int {
 // all share set indices congruent to b and three quarters of each bank
 // would go unused).
 func (s *SNUCA) innerAddr(addr memsys.Addr) memsys.Addr {
-	bb := s.blockBits()
+	bb := s.banks[0].BlockBits()
 	block := uint64(addr) >> bb
 	return memsys.Addr((block / uint64(len(s.banks))) << bb)
 }
@@ -104,7 +95,7 @@ func (s *SNUCA) innerAddr(addr memsys.Addr) memsys.Addr {
 // outerAddr inverts innerAddr for the given bank (used to reconstruct
 // the original address of an evicted block for L1 invalidation).
 func (s *SNUCA) outerAddr(inner memsys.Addr, bank int) memsys.Addr {
-	bb := s.blockBits()
+	bb := s.banks[0].BlockBits()
 	block := uint64(inner) >> bb
 	return memsys.Addr((block*uint64(len(s.banks)) + uint64(bank)) << bb)
 }
@@ -113,7 +104,6 @@ func (s *SNUCA) outerAddr(inner memsys.Addr, bank int) memsys.Addr {
 // a shared design has no per-core coherence state, so it reports
 // residency in the owning bank.
 func (s *SNUCA) LineState(core int, addr memsys.Addr) string {
-	addr = addr.BlockAddr(s.banks[0].Geometry().BlockBytes)
 	b := s.bankOf(addr)
 	if s.banks[b].Probe(s.innerAddr(addr)) != nil {
 		return fmt.Sprintf("resident(bank%d)", b)

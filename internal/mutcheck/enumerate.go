@@ -78,8 +78,8 @@ func EnumeratePackage(root, pkgDir string) ([]Site, error) {
 			return nil, fmt.Errorf("mutcheck: %w", err)
 		}
 		if !inDefaultBuild(f) {
-			// Files gated behind custom tags (e.g. the seeded
-			// schedmutant scheduler bug) are not in the build the
+			// Files gated behind custom tags (e.g. a seeded mutant
+			// switched in by a build tag) are not in the build the
 			// target tests compile, so mutating them proves nothing.
 			continue
 		}

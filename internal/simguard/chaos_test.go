@@ -118,11 +118,10 @@ func TestControlInjectorIsBitIdentical(t *testing.T) {
 // healthy ops, then zero-work ops forever — into a full system and
 // requires the forward-progress watchdog to abort with a structured
 // ProgressStall within the configured window. The bound on Steps below
-// doubles as the detection-window gate for the event-driven scheduler
-// loop: if skip-ahead ever widened the window, the trip would land
-// outside ~window steps and this test would fail (cmpsim's
-// TestWatchdogTripIdenticalUnderHeap additionally pins the trip point
-// to the pre-heap scan loop exactly).
+// doubles as the detection-window gate for the scheduler loop: if
+// skip-ahead ever widened the window, the trip would land outside
+// ~window steps and this test would fail (cmpsim's
+// TestWatchdogTripPinned additionally pins the exact trip point).
 func TestWatchdogCatchesLivelockMutant(t *testing.T) {
 	const window = 4096
 	mut := &workload.LivelockMutant{Inner: workload.New(workload.Hammer(7)), After: 200}

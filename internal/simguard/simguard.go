@@ -85,15 +85,12 @@ func (w *Watchdog) StepsSinceRetire() uint64 { return w.steps }
 // run is stalled — a full window of cycles or steps without a single
 // retirement.
 //
-// Observation-point contract: now is the clock the scheduler popped —
+// Observation-point contract: now is the clock the scheduler picked —
 // the laggard's pre-step clock, before the step's latency is charged.
-// The event-driven loop (cmpsim sched.go) pops the identical clock
-// sequence the historical linear scan produced, so the detection
-// window is unchanged by the refactor: cmpsim's
-// TestWatchdogTripIdenticalUnderHeap pins the trip step and clock to
-// the scan reference exactly, and the chaos sweep re-proves both
+// cmpsim's TestWatchdogTripPinned pins the trip step, clock and core
+// snapshot on a partial livelock, and the chaos sweep re-proves both
 // window clauses (cycle-based and step-based) against the livelock
-// mutant under the heap loop. Pre-step observation is also the tight
+// mutant. Pre-step observation is also the tight
 // choice: anchoring lastRetire at the clock a retiring step *started*
 // means a following dead window is measured from the last instant
 // useful work was initiated, not from after its (possibly long)

@@ -95,8 +95,8 @@ func TestLoadBasics(t *testing.T) {
 }
 
 // TestLoadHonorsBuildConstraints: a file gated behind a custom build
-// tag (the seeded-mutant pattern, e.g. cmpsim's schedmutant) is
-// excluded from the default build and must be excluded from the load
+// tag (the seeded-mutant pattern: a tag switches in the broken variant)
+// is excluded from the default build and must be excluded from the load
 // too — otherwise the loader type-checks both declarations of the
 // tag-switched symbol and reports a phantom redeclaration.
 func TestLoadHonorsBuildConstraints(t *testing.T) {

@@ -21,7 +21,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 run_benches() {
-	go test -run '^$' -bench '^(BenchmarkSimStep|BenchmarkSchedulerLoop|BenchmarkRunQuantum)$' -benchtime 100000x -benchmem ./internal/cmpsim
+	go test -run '^$' -bench '^(BenchmarkSimStep|BenchmarkRunQuantum)$' -benchtime 100000x -benchmem ./internal/cmpsim
 	go test -run '^$' -bench '^(BenchmarkHitClosest|BenchmarkHitCommunication|BenchmarkMissCapacity|BenchmarkMixedWorkload)$' -benchtime 10000x -benchmem ./internal/core
 	go test -run '^$' -bench '^(BenchmarkSharedAccess|BenchmarkSNUCAAccess|BenchmarkPrivateAccess)$' -benchtime 10000x -benchmem ./internal/l2
 	go test -run '^$' -bench '^(BenchmarkGeneratorNext|BenchmarkMixNext|BenchmarkMixesConstruct)$' -benchtime 100000x -benchmem ./internal/workload

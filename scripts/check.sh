@@ -31,7 +31,7 @@ go test -race -short ./...
 echo "== simlint (incl. hotpath self-lint) =="
 go run ./cmd/simlint ./...
 
-# All hand-seeded mutant gates (protocol, unit, hot-path, scheduler)
+# All hand-seeded mutant gates (protocol, unit, hot-path, sync)
 # live in one script so this file and CI cannot drift apart.
 echo "== seeded-mutant gates (scripts/mutants.sh) =="
 scripts/mutants.sh
