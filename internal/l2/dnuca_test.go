@@ -70,6 +70,26 @@ func TestDNUCAMigrationTowardRequester(t *testing.T) {
 	d.CheckInvariants()
 }
 
+// TestDNUCAHitReportsClosestBank: a hit counts as a closest-d-group hit
+// only when the block sits in the requester's closest bank, which one
+// of the two banksets never contains (Figure 9's closest/farther split).
+func TestDNUCAHitReportsClosestBank(t *testing.T) {
+	for core := 0; core < topo.NumCores; core++ {
+		d := smallDNUCA()
+		for bit := 0; bit < 2; bit++ {
+			a := memsys.Addr(0x1000 + bit*64)
+			d.Access(0, core, a, false)
+			r := d.Access(100, core, a, false)
+			want := d.bankset(core, a)[0] == topo.Closest(core)
+			if r.Category != memsys.Hit || r.DGroup != d.BankOf(a) || r.ClosestDGroup != want {
+				t.Errorf("core %d, bankset %d: hit %+v, want a hit in bank %d with ClosestDGroup %v",
+					core, bit, r, d.BankOf(a), want)
+			}
+		}
+		d.CheckInvariants()
+	}
+}
+
 // TestDNUCAMigrateToSameBankIsNoOp: a self-migration must leave the
 // block where it is and count nothing. BankOf must also find the block
 // from any byte address inside it.

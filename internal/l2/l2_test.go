@@ -363,9 +363,6 @@ func TestPrivateLinesAreCompact(t *testing.T) {
 	if got := unsafe.Sizeof(cache.Line[privPayload]{}); got != 24 {
 		t.Errorf("private line is %d B, want 24", got)
 	}
-	if got := unsafe.Sizeof(cache.Line[updPayload]{}); got != 24 {
-		t.Errorf("update-protocol line is %d B, want 24", got)
-	}
 }
 
 // TestPrivateInvariantsDetectOwnerWithOneSharer: a Modified owner next
@@ -382,4 +379,41 @@ func TestPrivateInvariantsDetectOwnerWithOneSharer(t *testing.T) {
 		}
 	}()
 	p.CheckInvariants()
+}
+
+// TestSnoopyInvariantsSharedOwnership: both private protocols allow one
+// dirty shared owner (the update protocol's C) beside clean sharers,
+// but never two owners, and never an E or M copy beside another copy.
+func TestSnoopyInvariantsSharedOwnership(t *testing.T) {
+	const (
+		I, S, E = coherence.Invalid, coherence.Shared, coherence.Exclusive
+		M, C    = coherence.Modified, coherence.Communication
+	)
+	for _, tc := range []struct {
+		states []coherence.State
+		panic  string
+	}{
+		{[]coherence.State{C, S, S}, ""},
+		{[]coherence.State{M}, ""},
+		{[]coherence.State{C, C}, "has 2 owners"},
+		{[]coherence.State{C, M}, "has 2 owners"},
+		{[]coherence.State{E, S}, "owner coexists with sharers"},
+		{[]coherence.State{S, E}, "owner coexists with sharers"},
+		{[]coherence.State{I}, "invalid coherence state"},
+	} {
+		p := smallUpdate()
+		for core, st := range tc.states {
+			arr := p.caches[core]
+			arr.Install(arr.Victim(0x1000), 0x1000, privPayload{state: st})
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if tc.panic == "" && msg != "" || !strings.Contains(msg, tc.panic) {
+					t.Errorf("%v: panic = %q, want %q", tc.states, msg, tc.panic)
+				}
+			}()
+			p.CheckInvariants()
+		}()
+	}
 }

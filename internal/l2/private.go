@@ -18,12 +18,11 @@ type privPayload struct {
 	reuses    int32
 }
 
-// Private models the per-core private cache baseline: four 2 MB 8-way
-// caches snooping a split-transaction bus with the MESI protocol.
-// Every fill replicates into the requester's cache (uncontrolled
-// replication), and read-write sharing ping-pongs through coherence
-// misses — the two behaviours CR and ISC exist to fix.
-type Private struct {
+// snoopy is the machine both private designs share: four per-core
+// caches snooping a split-transaction bus. Every fill replicates into
+// the requester's cache (uncontrolled replication); the protocols
+// differ only in what a write does to the other copies.
+type snoopy struct {
 	caches     []*cache.Array[privPayload]
 	ports      []bus.Port
 	bus        *bus.Bus
@@ -35,17 +34,16 @@ type Private struct {
 	Writebacks uint64
 }
 
-// NewPrivate builds the paper's configuration: 2 MB 8-way per core,
+// paperSnoopy is the paper's configuration: 2 MB 8-way per core,
 // 10-cycle hit (Table 1), 32-cycle bus, 300-cycle memory.
-func NewPrivate() *Private {
+func paperSnoopy() snoopy {
 	l := topo.Derive()
-	return NewPrivateWith(topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
+	return newSnoopy(topo.PrivateBytes, topo.PrivateAssoc, topo.BlockBytes,
 		l.PrivateTotal, bus.Config{Latency: l.Bus, SlotCycles: 4}, 300)
 }
 
-// NewPrivateWith builds private caches with explicit geometry/timing.
-func NewPrivateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) *Private {
-	p := &Private{
+func newSnoopy(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) snoopy {
+	s := snoopy{
 		ports:      make([]bus.Port, topo.NumCores),
 		bus:        bus.New(busCfg),
 		hitLatency: hitLatency,
@@ -53,30 +51,27 @@ func NewPrivateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Byte
 		stats:      memsys.NewL2Stats(),
 	}
 	for c := 0; c < topo.NumCores; c++ {
-		p.caches = append(p.caches, cache.NewArray[privPayload](
+		s.caches = append(s.caches, cache.NewArray[privPayload](
 			cache.GeometryFor(capacityBytes, ways, blockBytes)))
 	}
-	return p
+	return s
 }
 
-// Name implements memsys.L2.
-func (p *Private) Name() string { return "private" }
-
 // Stats implements memsys.L2.
-func (p *Private) Stats() *memsys.L2Stats { return p.stats }
+func (p *snoopy) Stats() *memsys.L2Stats { return p.stats }
 
 // SetL1Invalidate implements memsys.L1Invalidator.
-func (p *Private) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { p.l1inv = fn }
+func (p *snoopy) SetL1Invalidate(fn func(core int, addr memsys.Addr)) { p.l1inv = fn }
 
-// MaintainsL1Coherence implements memsys.L1Coherent: MESI snooping
-// invalidates and downgrades L1 copies.
-func (p *Private) MaintainsL1Coherence() {}
+// MaintainsL1Coherence implements memsys.L1Coherent: both protocols
+// drop the L1 copies their snoops invalidate, downgrade or update.
+func (p *snoopy) MaintainsL1Coherence() {}
 
 // Bus exposes the snoopy bus for traffic analysis.
-func (p *Private) Bus() *bus.Bus { return p.bus }
+func (p *snoopy) Bus() *bus.Bus { return p.bus }
 
-// StateOf reports core's MESI state for addr (exposed for tests).
-func (p *Private) StateOf(core int, addr memsys.Addr) coherence.State {
+// StateOf reports core's coherence state for addr (exposed for tests).
+func (p *snoopy) StateOf(core int, addr memsys.Addr) coherence.State {
 	l := p.caches[core].Probe(addr.BlockAddr(p.blockBytes()))
 	if l == nil {
 		return coherence.Invalid
@@ -85,18 +80,18 @@ func (p *Private) StateOf(core int, addr memsys.Addr) coherence.State {
 }
 
 // LineState implements memsys.LineStateProber for stall diagnostics.
-func (p *Private) LineState(core int, addr memsys.Addr) string {
+func (p *snoopy) LineState(core int, addr memsys.Addr) string {
 	return p.StateOf(core, addr).String()
 }
 
 // BusBacklog implements memsys.BusBacklogReporter.
-func (p *Private) BusBacklog(now memsys.Cycle) memsys.Cycles { return p.bus.Backlog(now) }
+func (p *snoopy) BusBacklog(now memsys.Cycle) memsys.Cycles { return p.bus.Backlog(now) }
 
-func (p *Private) blockBytes() memsys.Bytes { return p.caches[0].Geometry().BlockBytes }
+func (p *snoopy) blockBytes() memsys.Bytes { return p.caches[0].Geometry().BlockBytes }
 
-// kill invalidates core's line, recording its lifetime and preserving
-// L1 inclusion.
-func (p *Private) kill(core int, l *cache.Line[privPayload]) {
+// kill invalidates core's line, recording its lifetime, writing a dirty
+// copy back and preserving L1 inclusion.
+func (p *snoopy) kill(core int, l *cache.Line[privPayload]) {
 	addr := p.caches[core].AddrOf(l)
 	switch l.Data.broughtBy {
 	case memsys.ROSMiss:
@@ -106,7 +101,7 @@ func (p *Private) kill(core int, l *cache.Line[privPayload]) {
 	case memsys.Hit, memsys.CapacityMiss:
 		// Figure 7 follows only blocks a sharing miss brought in.
 	}
-	if l.Data.state == coherence.Modified {
+	if l.Data.state.Dirty() {
 		p.Writebacks++
 	}
 	p.caches[core].Invalidate(l)
@@ -115,14 +110,18 @@ func (p *Private) kill(core int, l *cache.Line[privPayload]) {
 	}
 }
 
-// signals samples the wired-OR bus lines from the other caches.
-func (p *Private) signals(core int, addr memsys.Addr) coherence.Signals {
-	var sig coherence.Signals
+// signals samples the wired-OR bus lines from the caches other than
+// core's and returns the lowest such core holding addr, or -1.
+func (p *snoopy) signals(core int, addr memsys.Addr) (sig coherence.Signals, first int) {
+	first = -1
 	for o := 0; o < topo.NumCores; o++ {
 		if o == core {
 			continue
 		}
 		if l := p.caches[o].Probe(addr); l != nil {
+			if first < 0 {
+				first = o
+			}
 			if l.Data.state.Dirty() {
 				sig.Dirty = true
 			} else {
@@ -130,8 +129,99 @@ func (p *Private) signals(core int, addr memsys.Addr) coherence.Signals {
 			}
 		}
 	}
-	return sig
+	return sig, first
 }
+
+// fill completes core's snooped miss: the bus transaction, the
+// supplier's cache-to-cache transfer (memory when supplier is -1), the
+// victim's kill and the install in state. sig, the peer scan taken
+// before the snoop, classifies the miss by the paper's taxonomy.
+func (p *snoopy) fill(now memsys.Cycle, core int, addr memsys.Addr, lat memsys.Cycles, kind bus.Kind, supplier int, sig coherence.Signals, state coherence.State) memsys.Result {
+	category := memsys.CapacityMiss
+	if sig.Dirty {
+		category = memsys.RWSMiss
+	} else if sig.Shared {
+		category = memsys.ROSMiss
+	}
+	t := now.Add(lat)
+	vis := p.bus.Transact(t, kind)
+	p.stats.BusTransactions.AddAt(int(kind), 1)
+	lat += vis.Sub(t)
+	t = now.Add(lat)
+	if supplier >= 0 {
+		// Cache-to-cache transfer: the supplier's access time.
+		remStart := p.ports[supplier].Acquire(t, p.hitLatency)
+		lat += remStart.Sub(t) + p.hitLatency
+	} else {
+		p.stats.OffChipMisses++
+		lat += p.memLatency
+	}
+
+	arr := p.caches[core]
+	v := arr.Victim(addr)
+	if v.Valid() {
+		p.kill(core, v)
+	}
+	arr.Install(v, addr, privPayload{state: state, broughtBy: category})
+
+	res := memsys.Result{Latency: lat, Category: category, DGroup: -1}
+	p.stats.RecordAccess(res)
+	return res
+}
+
+// CheckInvariants validates the single-owner rules both protocols keep
+// across the private caches: at most one M, E or C copy of a block, and
+// an M or E copy is the only copy. Tests call it after workloads.
+func (p *snoopy) CheckInvariants() {
+	type counts struct {
+		copies, owners int
+		exclusive      bool
+	}
+	blocks := map[memsys.Addr]counts{}
+	for c := 0; c < topo.NumCores; c++ {
+		p.caches[c].ForEach(func(_ int, l *cache.Line[privPayload]) {
+			addr := p.caches[c].AddrOf(l)
+			b := blocks[addr]
+			b.copies++
+			switch l.Data.state {
+			case coherence.Modified, coherence.Exclusive:
+				b.owners++
+				b.exclusive = true
+			case coherence.Communication:
+				b.owners++
+			case coherence.Shared:
+			default:
+				panic("l2: private line in invalid coherence state")
+			}
+			blocks[addr] = b
+		})
+	}
+	for addr, b := range blocks {
+		if b.owners > 1 {
+			panic(fmt.Sprintf("l2: block %#x has %d owners", addr, b.owners))
+		}
+		if b.exclusive && b.copies > 1 {
+			panic(fmt.Sprintf("l2: block %#x owner coexists with sharers", addr))
+		}
+	}
+}
+
+// Private models the per-core private cache baseline under MESI: four
+// 2 MB 8-way snoopy caches whose uncontrolled replication and
+// read-write-sharing ping-pong are the two behaviours CR and ISC exist
+// to fix.
+type Private struct{ snoopy }
+
+// NewPrivate builds the paper's configuration.
+func NewPrivate() *Private { return &Private{paperSnoopy()} }
+
+// NewPrivateWith builds private caches with explicit geometry/timing.
+func NewPrivateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) *Private {
+	return &Private{newSnoopy(capacityBytes, ways, blockBytes, hitLatency, busCfg, memLatency)}
+}
+
+// Name implements memsys.L2.
+func (p *Private) Name() string { return "private" }
 
 // snoopOthers applies a bus transaction from core to every other cache
 // per MESI and returns the core that supplied the block, or -1. A
@@ -187,7 +277,6 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 	arr := p.caches[core]
 	start := p.ports[core].Acquire(now, p.hitLatency)
 	lat := start.Sub(now) + p.hitLatency
-	t := now.Add(lat)
 
 	if l := arr.Probe(addr); l != nil {
 		arr.Touch(l)
@@ -199,6 +288,7 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		next, busOp := coherence.MESIProc(l.Data.state, op, coherence.Signals{})
 		if busOp != coherence.BusNone {
 			// S→M upgrade: the bus transaction is on the critical path.
+			t := now.Add(lat)
 			vis := p.bus.Transact(t, bus.BusUpg)
 			p.stats.BusTransactions.AddAt(int(bus.BusUpg), 1)
 			lat += vis.Sub(t)
@@ -210,82 +300,140 @@ func (p *Private) Access(now memsys.Cycle, core int, addr memsys.Addr, write boo
 		return res
 	}
 
-	// Miss: classify from the other caches' states (the paper's
-	// taxonomy), then run the MESI flow.
-	sig := p.signals(core, addr)
-	category := memsys.CapacityMiss
-	if sig.Dirty {
-		category = memsys.RWSMiss
-	} else if sig.Shared {
-		category = memsys.ROSMiss
-	}
-
-	op := coherence.PrRd
-	busKind := bus.BusRd
-	mesiOp := coherence.BusRd
+	// Miss: snoop the other caches per MESI, then fill.
+	sig, _ := p.signals(core, addr)
+	op, kind, busOp := coherence.PrRd, bus.BusRd, coherence.BusRd
 	if write {
-		op = coherence.PrWr
-		busKind = bus.BusRdX
-		mesiOp = coherence.BusRdX
+		op, kind, busOp = coherence.PrWr, bus.BusRdX, coherence.BusRdX
 	}
-	vis := p.bus.Transact(t, busKind)
-	p.stats.BusTransactions.AddAt(int(busKind), 1)
-	lat += vis.Sub(t)
-	t2 := now.Add(lat)
-
-	supplier := p.snoopOthers(core, addr, mesiOp)
-	if supplier >= 0 {
-		// Cache-to-cache transfer: the supplier's access time.
-		remStart := p.ports[supplier].Acquire(t2, p.hitLatency)
-		lat += remStart.Sub(t2) + p.hitLatency
-	} else {
-		p.stats.OffChipMisses++
-		lat += p.memLatency
-	}
-
-	newState, _ := coherence.MESIProc(coherence.Invalid, op, sig)
-	v := arr.Victim(addr)
-	if v.Valid() {
-		p.kill(core, v)
-	}
-	arr.Install(v, addr, privPayload{state: newState, broughtBy: category})
-
-	res := memsys.Result{Latency: lat, Category: category, DGroup: -1}
-	p.stats.RecordAccess(res)
-	return res
+	supplier := p.snoopOthers(core, addr, busOp)
+	state, _ := coherence.MESIProc(coherence.Invalid, op, sig)
+	return p.fill(now, core, addr, lat, kind, supplier, sig, state)
 }
 
-// CheckInvariants validates MESI single-owner rules across the private
-// caches; tests call it after workloads.
-func (p *Private) CheckInvariants() {
-	type counts struct{ m, e, s int }
-	blocks := map[memsys.Addr]*counts{}
-	for c := 0; c < topo.NumCores; c++ {
-		p.caches[c].ForEach(func(_ int, l *cache.Line[privPayload]) {
-			addr := p.caches[c].AddrOf(l)
-			b := blocks[addr]
-			if b == nil {
-				b = &counts{}
-				blocks[addr] = b
-			}
-			switch l.Data.state {
-			case coherence.Modified:
-				b.m++
-			case coherence.Exclusive:
-				b.e++
-			case coherence.Shared:
-				b.s++
-			default:
-				panic("l2: private line in invalid coherence state")
-			}
-		})
+// PrivateUpdate models private caches under an update-based protocol
+// (Dragon-style), the alternative §3.2 argues against: "It may seem
+// that private caches can avoid coherence misses in read-write sharing
+// by using an update protocol ... However, an update protocol requires
+// the updates to go through the bus for copying the data to the
+// reader's caches, incurring an overhead on every write. Furthermore,
+// update protocols keep multiple copies of the read-write shared
+// block," recreating uncontrolled replication's capacity problem.
+//
+// Writes never invalidate: a store to a block with remote copies
+// broadcasts a BusUpd (full bus latency on the writer's critical path)
+// that freshens the sharers' L2 copies in place; their L1 copies drop
+// and refill from their own updated L2 copy at private-hit cost — no
+// coherence misses, exactly the property the protocol buys, at exactly
+// the costs the paper names. A lone copy is E or M; once shared, the
+// copies are S, and the last writer's is C, the dirty owner that
+// writes the block back.
+type PrivateUpdate struct {
+	snoopy
+	// Updates counts write-triggered bus update broadcasts.
+	Updates uint64
+}
+
+// NewPrivateUpdate builds the update-protocol baseline at the paper's
+// private-cache geometry.
+func NewPrivateUpdate() *PrivateUpdate { return &PrivateUpdate{snoopy: paperSnoopy()} }
+
+// NewPrivateUpdateWith builds the baseline with explicit geometry.
+func NewPrivateUpdateWith(capacityBytes memsys.Bytes, ways int, blockBytes memsys.Bytes, hitLatency memsys.Cycles, busCfg bus.Config, memLatency memsys.Cycles) *PrivateUpdate {
+	return &PrivateUpdate{snoopy: newSnoopy(capacityBytes, ways, blockBytes, hitLatency, busCfg, memLatency)}
+}
+
+// Name implements memsys.L2.
+func (p *PrivateUpdate) Name() string { return "private-update" }
+
+// IsCommunication implements cmpsim's write-through hook: update
+// protocols must see *every* store to a shared block at the L2 (each
+// one broadcasts), so shared blocks are write-through in the L1 — the
+// same discipline MESIC's C blocks need, and the per-write overhead
+// §3.2 charges update protocols with.
+func (p *PrivateUpdate) IsCommunication(core int, addr memsys.Addr) bool {
+	addr = addr.BlockAddr(p.blockBytes())
+	if p.caches[core].Probe(addr) == nil {
+		return false
 	}
-	for addr, b := range blocks {
-		if b.m+b.e > 1 {
-			panic(fmt.Sprintf("l2: block %#x has multiple exclusive owners", addr))
+	_, first := p.signals(core, addr)
+	return first >= 0
+}
+
+// update applies core's fill or write of addr to the other copies. A
+// write broadcasts a BusUpd: every other copy freshens in place to a
+// clean S and drops its L1 copy, leaving core the dirty owner. A read
+// fill only ends the holder's exclusivity (E→S, M→C).
+func (p *PrivateUpdate) update(core int, addr memsys.Addr, write bool) {
+	if write {
+		p.Updates++
+		p.stats.BusTransactions.AddAt(int(bus.BusUpg), 1)
+	}
+	for o := 0; o < topo.NumCores; o++ {
+		if o == core {
+			continue
 		}
-		if (b.m == 1 || b.e == 1) && b.s > 0 {
-			panic(fmt.Sprintf("l2: block %#x owner coexists with sharers", addr))
+		l := p.caches[o].Probe(addr)
+		switch {
+		case l == nil:
+		case write:
+			l.Data.state = coherence.Shared
+			if p.l1inv != nil {
+				p.l1inv(o, addr)
+			}
+		case l.Data.state == coherence.Exclusive:
+			l.Data.state = coherence.Shared
+		case l.Data.state == coherence.Modified:
+			l.Data.state = coherence.Communication
 		}
 	}
+}
+
+// Access implements memsys.L2.
+//
+// hotpath:root
+func (p *PrivateUpdate) Access(now memsys.Cycle, core int, addr memsys.Addr, write bool) memsys.Result {
+	addr = addr.BlockAddr(p.blockBytes())
+	arr := p.caches[core]
+	start := p.ports[core].Acquire(now, p.hitLatency)
+	lat := start.Sub(now) + p.hitLatency
+
+	if l := arr.Probe(addr); l != nil {
+		arr.Touch(l)
+		l.Data.reuses++
+		if write {
+			state := coherence.Modified
+			if _, first := p.signals(core, addr); first >= 0 {
+				// The update goes through the bus on every write —
+				// the overhead the paper charges this protocol with.
+				t := now.Add(lat)
+				vis := p.bus.Transact(t, bus.BusUpg)
+				lat += vis.Sub(t)
+				p.update(core, addr, true)
+				state = coherence.Communication
+			}
+			l.Data.state = state
+		}
+		res := memsys.Result{Latency: lat, Category: memsys.Hit, DGroup: -1}
+		p.stats.RecordAccess(res)
+		return res
+	}
+
+	// Miss: copy from the lowest-numbered holder, invalidating nothing.
+	sig, first := p.signals(core, addr)
+	state := coherence.Exclusive
+	switch {
+	case first >= 0 && write:
+		state = coherence.Communication
+	case first >= 0:
+		state = coherence.Shared
+	case write:
+		state = coherence.Modified
+	}
+	res := p.fill(now, core, addr, lat, bus.BusRd, first, sig, state)
+	if first >= 0 {
+		// After fill: the writer's own victim drops its L1 copy first.
+		p.update(core, addr, write)
+	}
+	return res
 }

@@ -194,3 +194,22 @@ func TestUpdateEvictionDropsL1Copy(t *testing.T) {
 		t.Errorf("L1 drops = %v, want one for core 0's block 0x0", drops)
 	}
 }
+
+// TestUpdateFillDowngradesHolder: a second core's fill ends the first
+// holder's exclusivity. A clean E holder becomes S, and a dirty M
+// holder becomes C, the shared owner that still writes the block back.
+func TestUpdateFillDowngradesHolder(t *testing.T) {
+	p := smallUpdate()
+	a, b := memsys.Addr(0x4000), memsys.Addr(0x5000)
+	p.Access(0, 0, a, false)
+	p.Access(100, 1, a, false)
+	if st := p.LineState(0, a); st != "S" {
+		t.Errorf("E holder after a second fill = %q, want S", st)
+	}
+	p.Access(200, 2, b, true)
+	p.Access(300, 3, b, false)
+	if st := p.LineState(2, b); st != "C" {
+		t.Errorf("M holder after a second fill = %q, want C", st)
+	}
+	p.CheckInvariants()
+}

@@ -37,9 +37,10 @@ var mutatorLeafNames = map[string]bool{
 // least one _test.go file that also calls CheckInvariants, so no
 // state-changing operation can regress the pointer structure or the
 // MESIC single-writer rule unnoticed. "Mutating" is computed as a
-// fixpoint over the type's methods: a method mutates if it assigns
-// through the receiver, calls a mutating sibling, or calls a known
-// mutator (Install, Invalidate, ...) on receiver-owned state. Call
+// fixpoint over the type's methods, its own and those promoted from
+// struct types it embeds in the same package: a method mutates if it
+// assigns through the receiver, calls a mutating sibling, or calls a
+// known mutator (Install, Invalidate, ...) on receiver-owned state. Call
 // sites in tests are matched by method name, which can only
 // under-report coverage gaps, never invent them for covered methods.
 func NewInvariantCoverage(targets []CoverageTarget) *Analyzer {
@@ -103,20 +104,24 @@ type methodInfo struct {
 
 func checkTargetCoverage(pkg *Package, tgt CoverageTarget, covered map[string]bool, report Reporter) {
 	methods := map[string]*methodInfo{}
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
-				continue
+	// Methods promoted from struct types the target embeds in its own
+	// package come first, so the target's own methods shadow them.
+	for _, typeName := range append(embeddedTypeNames(pkg, tgt.Type), tgt.Type) {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
+					continue
+				}
+				if receiverTypeName(fd.Recv.List[0].Type) != typeName {
+					continue
+				}
+				mi := &methodInfo{decl: fd, calls: map[string]bool{}}
+				if names := fd.Recv.List[0].Names; len(names) > 0 {
+					mi.recv = names[0].Name
+				}
+				methods[fd.Name.Name] = mi
 			}
-			if receiverTypeName(fd.Recv.List[0].Type) != tgt.Type {
-				continue
-			}
-			mi := &methodInfo{decl: fd, calls: map[string]bool{}}
-			if names := fd.Recv.List[0].Names; len(names) > 0 {
-				mi.recv = names[0].Name
-			}
-			methods[fd.Name.Name] = mi
 		}
 	}
 	if len(methods) == 0 {
@@ -161,6 +166,30 @@ func checkTargetCoverage(pkg *Package, tgt CoverageTarget, covered map[string]bo
 				pkg.Name, tgt.Type, name)
 		}
 	}
+}
+
+// embeddedTypeNames lists the same-package types embedded in the struct
+// declaration of typeName.
+func embeddedTypeNames(pkg *Package, typeName string) []string {
+	var names []string
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok || spec.Name.Name != typeName {
+				return true
+			}
+			if st, ok := spec.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					// A type from another package has no receiver name here.
+					if name := receiverTypeName(field.Type); len(field.Names) == 0 && name != "" {
+						names = append(names, name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	return names
 }
 
 func scanMethodBody(mi *methodInfo, methods map[string]*methodInfo) {

@@ -104,3 +104,52 @@ func (c *Cache) Mutate() { c.n++ }
 	}, NewInvariantCoverage(fixtureTargets))
 	expectDiags(t, diags, "no CheckInvariants method")
 }
+
+// embeddedFixture keeps the checker and the mutating helpers on an
+// unexported base: Cache's method set is its own methods plus the
+// base's, with Cache.Get shadowing the base's mutating Get.
+const embeddedFixture = `package core
+
+type base struct{ n int }
+
+func (b *base) install() { b.n++ }
+
+func (b *base) Reset() { b.n = 0 }
+
+func (b *base) Get() int {
+	b.n++
+	return b.n
+}
+
+func (b *base) CheckInvariants() {
+	if b.n < 0 {
+		panic("core: negative count")
+	}
+}
+
+type Cache struct{ base }
+
+func (c *Cache) Access() { c.install() }
+
+func (c *Cache) Get() int { return c.n }
+`
+
+func TestInvariantCoverageFollowsEmbedding(t *testing.T) {
+	diags := lintFixture(t, map[string]string{
+		"internal/core/cache.go": embeddedFixture,
+		"internal/core/cache_test.go": `package core
+
+import "testing"
+
+func TestGet(t *testing.T) {
+	var c Cache
+	_ = c.Get()
+	c.CheckInvariants()
+}
+`,
+	}, NewInvariantCoverage(fixtureTargets))
+	expectDiags(t, diags,
+		"Cache.Reset mutates cache state",
+		"Cache.Access mutates cache state",
+	)
+}

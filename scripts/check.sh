@@ -66,6 +66,15 @@ go run ./cmd/experiments -exp all -parallel 2 -warmup 200000 -instr 200000 -seed
 diff docs/golden/quick_all.golden /tmp/quick_all_p1.out
 diff docs/golden/quick_all.golden /tmp/quick_all_p2.out
 
+echo "== experiments quick scale opt-in selection vs golden at -parallel 1/2 =="
+# The ablations and sweeps -exp all leaves out (private-update,
+# bandwidth, sens-size, ...) get the same byte-level pin.
+optin=abl-promotion,abl-tags,abl-replication,abl-optimizations,abl-cmigration,abl-update,abl-dnuca,bandwidth,capacity,sens-size,sens-seed
+go run ./cmd/experiments -exp "$optin" -parallel 1 -warmup 200000 -instr 200000 -seed 42 -quiet > /tmp/quick_optin_p1.out
+go run ./cmd/experiments -exp "$optin" -parallel 2 -warmup 200000 -instr 200000 -seed 42 -quiet > /tmp/quick_optin_p2.out
+diff docs/golden/quick_optin.golden /tmp/quick_optin_p1.out
+diff docs/golden/quick_optin.golden /tmp/quick_optin_p2.out
+
 echo "== experiments built with -pgo=off: quick -exp all vs golden =="
 # The runs above use cmd/experiments/default.pgo (Go's default
 # -pgo=auto). The same bytes without it prove the profile is purely a
